@@ -189,12 +189,7 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 	p.progress(StageSweep, len(classes))
 	bs := make([]sweep.Boundary, len(classes))
 	for k, c := range classes {
-		g := merged.Groups[k]
-		pairs := make([]sweep.Pair, len(g.Members))
-		for m, in := range g.Members {
-			pairs[m] = sweep.Pair{I: in.I, J: in.J}
-		}
-		bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: pairs}
+		bs[k] = sweep.Boundary{Old: c.Old, Dirty: c.Dirty, Group: groupPairs(merged.Groups[k])}
 	}
 	witnessAt := func(k int) *big.Rat {
 		return space.WitnessRat(nt.itree.Subs[k].Region)

@@ -25,14 +25,23 @@ func Build(tbl record.Table, p Params) (*Tree, error) {
 	return BuildCtx(context.Background(), tbl, p)
 }
 
-// BuildCtx is the context-aware construction entry point. Every stage
-// with independent units is sharded across Params.Workers goroutines:
-// record digesting, 1-D pairwise-intersection enumeration, the subdomain
-// sweep plan, per-subdomain FMH-list construction (materialized 1-D and
-// multivariate layouts), level-order IMH hash propagation, and
-// multi-signature signing. The output is byte-identical for every worker
-// count: every digest, swap list and signature input depends only on its
-// own index, and per-worker hash counters are merged after each join.
+// BuildCtx is the context-aware construction entry point.
+//
+// A 1-D build sorts the exact breakpoints into an arrangement once and
+// takes the sweep's crossing pairs from it. In canonical order (Shuffle
+// set) it also builds the I-tree from the arrangement
+// (itree.BuildCanonical1D): the tree inserting every intersection from
+// the root in canonical order produces. That insertion (itree.Build)
+// remains the construction for Shuffle-off and multivariate builds.
+//
+// Every stage with independent units is sharded across Params.Workers
+// goroutines: record digesting, 1-D pairwise-intersection enumeration,
+// the subdomain sweep plan, per-subdomain FMH-list construction
+// (materialized 1-D and multivariate layouts), level-order IMH hash
+// propagation, and multi-signature signing. The output is byte-identical
+// for every worker count: every digest, swap list and signature input
+// depends only on its own index, and per-worker hash counters are merged
+// after each join.
 //
 // Cancellation is cooperative: a done ctx stops each stage's worker pool
 // from claiming new chunks, the serial stages check between units, and
@@ -108,18 +117,21 @@ func BuildCtx(ctx context.Context, tbl record.Table, p Params) (*Tree, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t.itree, err = itree.Build(space, inters, opt)
-		if err != nil {
-			return nil, err
-		}
 		if p.Shuffle {
-			// Retain the canonical arrangement the tree shape is a pure
-			// function of: the mutation plane merges dirty pairs into it
-			// and reconstructs the next epoch's tree directly, instead of
-			// re-enumerating and re-inserting from scratch.
+			// The canonical tree is a pure function of the sorted
+			// breakpoint arrangement, so it is built from it directly.
+			// The arrangement is retained: the mutation plane merges
+			// dirty pairs into it and reconstructs the next epoch's
+			// tree the same way.
 			if t.arr, err = itree.NewArrangement1D(space, inters, p.Seed); err != nil {
 				return nil, err
 			}
+			t.itree, err = itree.BuildCanonical1D(space, t.arr)
+		} else {
+			t.itree, err = itree.Build(space, inters, opt)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if err := t.buildLists1D(ctx, inters, p, workers); err != nil {
 			return nil, err
@@ -169,33 +181,33 @@ func (t *Tree) fmhFromPerm(h *hashing.Hasher, perm []int) (*fmh.List, error) {
 	})
 }
 
-// SweepInputs1D derives, for a built 1-D I-tree, the exact witnesses of
-// every subdomain and the function pairs crossing at every boundary — the
-// inputs to sweep.Compute. It is shared with the signature-mesh baseline,
-// which sweeps the same arrangement without the tree.
-func SweepInputs1D(space *geometry.Space1D, subs []*itree.Subdomain, boundaries []*big.Rat, inters []itree.Intersection) ([]*big.Rat, [][]sweep.Pair, error) {
-	witnesses := make([]*big.Rat, len(subs))
-	for i, s := range subs {
-		witnesses[i] = space.WitnessRat(s.Region)
-	}
-	groups := make(map[string][]sweep.Pair)
-	for _, in := range inters {
-		bp, ok := geometry.Breakpoint1D(in.H)
-		if !ok {
-			continue
-		}
-		k := bp.RatString()
-		groups[k] = append(groups[k], sweep.Pair{I: in.I, J: in.J})
+// crossingsFromArr returns the crossing pairs of every boundary of a
+// 1-D I-tree from the arrangement of its intersections: group k of the
+// arrangement is boundary k, so no breakpoint needs recomputing. Member
+// order is irrelevant to the sweep, which re-sorts each crossing's
+// positions.
+func crossingsFromArr(boundaries []*big.Rat, arr *itree.Arrangement1D) ([][]sweep.Pair, error) {
+	if len(boundaries) != len(arr.Groups) {
+		return nil, fmt.Errorf("core: %d boundaries but %d arrangement breakpoints", len(boundaries), len(arr.Groups))
 	}
 	out := make([][]sweep.Pair, len(boundaries))
 	for k, b := range boundaries {
-		g := groups[b.RatString()]
-		if len(g) == 0 {
-			return nil, nil, fmt.Errorf("core: boundary %d (%v) has no crossing intersections", k, b)
+		g := arr.Groups[k]
+		if b != g.T && b.Cmp(g.T) != 0 {
+			return nil, fmt.Errorf("core: boundary %d (%v) is not arrangement breakpoint %v", k, b, g.T)
 		}
-		out[k] = g
+		out[k] = groupPairs(g)
 	}
-	return witnesses, out, nil
+	return out, nil
+}
+
+// groupPairs returns the crossing pairs of one arrangement breakpoint.
+func groupPairs(g *itree.Group1D) []sweep.Pair {
+	pairs := make([]sweep.Pair, len(g.Members))
+	for m, in := range g.Members {
+		pairs[m] = sweep.Pair{I: in.I, J: in.J}
+	}
+	return pairs
 }
 
 // buildLists1D computes every subdomain's sorted function list by a
@@ -217,9 +229,22 @@ func (t *Tree) buildLists1D(ctx context.Context, inters []itree.Intersection, p 
 	if err != nil {
 		return err
 	}
-	witnesses, groups, err := SweepInputs1D(space, t.itree.Subs, boundaries, inters)
+	arr := t.arr
+	if arr == nil {
+		// An insert-built tree's boundaries are, whatever the insertion
+		// order, the sorted distinct in-domain breakpoints: the groups of
+		// the arrangement. It is built only for the sweep, not retained.
+		if arr, err = itree.NewArrangement1D(space, inters, p.Seed); err != nil {
+			return err
+		}
+	}
+	groups, err := crossingsFromArr(boundaries, arr)
 	if err != nil {
 		return err
+	}
+	witnesses := make([]*big.Rat, len(t.itree.Subs))
+	for i, s := range t.itree.Subs {
+		witnesses[i] = space.WitnessRat(s.Region)
 	}
 	p.progress(StageSweep, len(boundaries))
 	plan, err := sweep.ComputeCtx(ctx, t.fs, witnesses, groups, workers)

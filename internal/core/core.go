@@ -104,7 +104,7 @@ type Params struct {
 	// which is how the build plane shares one scan between its cut
 	// planner and the shard build. It must contain every pair whose
 	// breakpoint lies inside Domain (a superset is fine: out-of-domain
-	// entries are pruned by the exact insertion checks). Nil means Build
+	// entries are pruned by the exact I-tree checks). Nil means Build
 	// enumerates via itree.Pairs1D; ignored for multivariate templates.
 	Inters1D []itree.Intersection
 	// Progress, when non-nil, is invoked from the building goroutine at
@@ -128,7 +128,7 @@ type Stage string
 const (
 	StageDigest    Stage = "digest"    // record digesting
 	StagePairs     Stage = "pairs"     // pairwise-intersection enumeration (1-D)
-	StageITree     Stage = "itree"     // I-tree insertion
+	StageITree     Stage = "itree"     // I-tree construction
 	StageSweep     Stage = "sweep"     // subdomain sweep plan (1-D)
 	StageLists     Stage = "lists"     // per-subdomain FMH-list construction
 	StagePropagate Stage = "propagate" // IMH-tree hash propagation
@@ -214,6 +214,17 @@ type Tree struct {
 	// SetPermCache); behind an atomic pointer so installation can race
 	// in-flight queries safely.
 	permCache permCacheHook
+}
+
+// SetHasher rebinds the tree to h for the hashing it does after
+// construction (mutation batches applied to it). A builder that ran
+// the construction on a hasher of its own — one per concurrent shard
+// build — hands the tree back to the caller's hasher with it; the
+// tree's bytes never depend on which hasher produced them. It must not
+// be called while the tree is in use.
+func (t *Tree) SetHasher(h *hashing.Hasher) {
+	t.hasher = h
+	t.bp.Hasher = h
 }
 
 // Mode returns the tree's signing scheme.

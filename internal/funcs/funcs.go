@@ -6,8 +6,11 @@
 package funcs
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/big"
+	"slices"
 
 	"aqverify/internal/geometry"
 	"aqverify/internal/linalg"
@@ -39,6 +42,60 @@ func (f Linear) EvalRat(x *big.Rat) *big.Rat {
 	b := new(big.Rat).SetFloat64(f.Bias)
 	out := new(big.Rat).Mul(c, x)
 	return out.Add(out, b)
+}
+
+// RatPoint is an exact univariate evaluation point together with its
+// float64 rounding, converted once so that many filtered comparisons at
+// the point (CmpAt) share the conversion.
+type RatPoint struct {
+	// R is the exact point.
+	R *big.Rat
+	// f is R rounded to float64, or NaN where that rounding's error is
+	// not relative (R is inexact in the subnormal range or beyond the
+	// float range), which sends every comparison to the exact path.
+	f float64
+}
+
+// NewRatPoint pairs the exact point r with its float64 rounding.
+func NewRatPoint(r *big.Rat) RatPoint {
+	f, exact := r.Float64()
+	if !exact && !(math.Abs(f) >= 0x1p-1022 && !math.IsInf(f, 0)) {
+		f = math.NaN()
+	}
+	return RatPoint{R: r, f: f}
+}
+
+// Float rounding-error filter for CmpAt. With u = 2^-53 and x the
+// point's float rounding (|x - r| <= u·|r| by NewRatPoint's guard),
+// the float score s = fl(fl(c·x) + b) of c·r + b is off by at most
+// 3.01u·(|fl(c·x)| + |b|) + 2^-1073 (two rounded operations, the
+// point's conversion, and at most one underflow). filterEps = 8u
+// covers both scores' errors plus the rounding of the difference and
+// of the bound itself; filterTiny covers the underflow terms. A float
+// difference beyond the bound therefore has the sign of the exact one.
+const (
+	filterEps  = 0x1p-50
+	filterTiny = 0x1p-1069
+)
+
+// CmpAt returns the sign of f(p) - g(p) for univariate functions,
+// computed exactly: the float scores decide when their difference
+// exceeds the forward-error bound, and exact rational evaluation
+// decides the rest (near-ties, non-finite intermediates).
+func CmpAt(f, g Linear, p RatPoint) int {
+	if len(f.Coef) == 1 && len(g.Coef) == 1 {
+		pf, pg := f.Coef[0]*p.f, g.Coef[0]*p.f
+		sf, sg := pf+f.Bias, pg+g.Bias
+		if !math.IsInf(sf, 0) && !math.IsNaN(sf) && !math.IsInf(sg, 0) && !math.IsNaN(sg) {
+			bound := filterEps*(math.Abs(pf)+math.Abs(f.Bias)+math.Abs(pg)+math.Abs(g.Bias)) + filterTiny
+			if d := sf - sg; d > bound {
+				return 1
+			} else if -d > bound {
+				return -1
+			}
+		}
+	}
+	return f.EvalRat(p.R).Cmp(g.EvalRat(p.R))
 }
 
 // Dim returns the number of query variables.
@@ -152,19 +209,21 @@ func SortAt(fs []Linear, x geometry.Point) []int {
 	return perm
 }
 
-// SortAtRat is SortAt with exact rational evaluation for univariate
-// functions, used at subdomain witnesses during construction where float
-// rounding near a breakpoint could misorder nearly-equal scores.
+// SortAtRat is SortAt with exact evaluation for univariate functions,
+// used at subdomain witnesses during construction where float rounding
+// near a breakpoint could misorder nearly-equal scores. Comparisons go
+// through CmpAt, so only near-ties pay for rational arithmetic.
 func SortAtRat(fs []Linear, x *big.Rat) []int {
-	scores := make([]*big.Rat, len(fs))
-	for i, f := range fs {
-		scores[i] = f.EvalRat(x)
-	}
+	p := NewRatPoint(x)
 	perm := make([]int, len(fs))
 	for i := range perm {
 		perm[i] = i
 	}
-	// Insertion-free: sort.Slice with exact comparison.
-	sortPermByRat(perm, scores)
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := CmpAt(fs[a], fs[b], p); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return perm
 }

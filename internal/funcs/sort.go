@@ -1,9 +1,6 @@
 package funcs
 
-import (
-	"math/big"
-	"sort"
-)
+import "sort"
 
 // sortPermByScore orders perm ascending by scores[perm[i]], breaking ties
 // by index so the order is a total order regardless of input.
@@ -12,17 +9,6 @@ func sortPermByScore(perm []int, scores []float64) {
 		ia, ib := perm[a], perm[b]
 		if scores[ia] != scores[ib] {
 			return scores[ia] < scores[ib]
-		}
-		return ia < ib
-	})
-}
-
-// sortPermByRat is sortPermByScore with exact rational comparisons.
-func sortPermByRat(perm []int, scores []*big.Rat) {
-	sort.Slice(perm, func(a, b int) bool {
-		ia, ib := perm[a], perm[b]
-		if c := scores[ia].Cmp(scores[ib]); c != 0 {
-			return c < 0
 		}
 		return ia < ib
 	})

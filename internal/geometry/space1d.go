@@ -2,6 +2,7 @@ package geometry
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 )
 
@@ -62,6 +63,25 @@ func Breakpoint1D(h Hyperplane) (*big.Rat, bool) {
 	t := new(big.Rat).Quo(b.Neg(b), c)
 	return t, true
 }
+
+// BreakpointFloat1D returns the float64 nearest the exact breakpoint
+// -B/C, with ok=false exactly when Breakpoint1D's is. IEEE-754
+// division is correctly rounded and negation is exact, and rounding to
+// nearest is monotone, so two breakpoints whose float values differ
+// are ordered the same way exactly, and a float value strictly above
+// (below) a float64 bound means the exact breakpoint is too. Only equal
+// float values leave the exact order undecided; callers fall back to
+// Breakpoint1D for those. The result may round to ±Inf or ±0 at the
+// extremes of the float range, which keeps the ordering property.
+func BreakpointFloat1D(h Hyperplane) (float64, bool) {
+	if len(h.C) != 1 || h.C[0] == 0 || !finite(h.C[0]) || !finite(h.B) {
+		return 0, false
+	}
+	return -h.B / h.C[0], true
+}
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
 // Partition implements Space. The hyperplane c*x + b splits the interval
 // iff its breakpoint t = -b/c lies strictly inside. "Above" is the side

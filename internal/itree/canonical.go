@@ -1,10 +1,11 @@
 package itree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/big"
+	"slices"
 	"sort"
 
 	"aqverify/internal/geometry"
@@ -28,9 +29,10 @@ import (
 // (key, priority) — and a treap with distinct priorities is *unique*
 // given its key set. The tree is therefore still expected-logarithmic
 // (priorities are uniform for non-adversarial inputs) and now
-// content-determined: BuildCanonical1D reconstructs the identical tree
-// directly from a sorted breakpoint arrangement in O(S), which is what
-// makes incremental re-outsourcing possible.
+// content-determined: BuildCanonical1D constructs the identical tree
+// directly from a sorted breakpoint arrangement in O(S). A full 1-D
+// build does so from a fresh arrangement, and incremental
+// re-outsourcing from one merged with a mutation's pairs.
 //
 // The priority hash is deliberately non-cryptographic: it only balances
 // the tree, never authenticates anything, and a crafted table can at
@@ -41,14 +43,22 @@ import (
 // seeded FNV-64a over the hyperplane's canonical byte encoding. It
 // depends only on the hyperplane content — not on the pair indexes —
 // so a surviving intersection keeps its priority when record indexes
-// are remapped by a mutation.
+// are remapped by a mutation. The hash is computed inline over a stack
+// buffer (the value equals hash/fnv's New64a over the same bytes), so
+// the arrangement pays no allocation per intersection for it.
 func priorityOf(seed int64, h geometry.Hyperplane) uint64 {
-	f := fnv.New64a()
-	var s [8]byte
-	binary.BigEndian.PutUint64(s[:], uint64(seed))
-	f.Write(s[:])
-	f.Write(h.Encode(nil))
-	return f.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var buf [48]byte
+	binary.BigEndian.PutUint64(buf[:8], uint64(seed))
+	p := uint64(offset64)
+	for _, c := range h.Encode(buf[:8]) {
+		p ^= uint64(c)
+		p *= prime64
+	}
+	return p
 }
 
 // canonLess is the canonical strict total order on intersections:
@@ -147,46 +157,94 @@ func (a *Arrangement1D) NumBreakpoints() int { return len(a.Groups) }
 // ordered; degenerate, on-edge and out-of-domain entries — the ones the
 // exact insertion checks would prune — are dropped. The input may carry
 // the widened-margin superset Pairs1D enumerates.
+//
+// Every comparison is exact, but filtered: breakpoints are ordered and
+// tested against the domain edges by their correctly rounded float
+// values (see geometry.BreakpointFloat1D), and the exact rational is
+// computed only for entries whose float value ties another's or a
+// domain edge — plus one per group, its T.
 func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64) (*Arrangement1D, error) {
 	root, ok := space.Root().(geometry.Interval1D)
 	if !ok {
 		return nil, fmt.Errorf("itree: 1-D space has a non-interval root region")
 	}
+	// The domain edges are float64 values, so these conversions are exact.
+	lo, _ := root.Lo.Float64()
+	hi, _ := root.Hi.Float64()
 	type entry struct {
-		t    *big.Rat
+		f    float64  // the breakpoint rounded to float64
+		t    *big.Rat // the exact breakpoint; nil until needed
 		in   Intersection
 		prio uint64
 	}
+	exact := func(e *entry) *big.Rat {
+		if e.t == nil {
+			e.t, _ = geometry.Breakpoint1D(e.in.H)
+		}
+		return e.t
+	}
 	entries := make([]entry, 0, len(inters))
 	for _, in := range inters {
-		t, ok := geometry.Breakpoint1D(in.H)
+		f, ok := geometry.BreakpointFloat1D(in.H)
 		if !ok {
 			continue // degenerate: parallel functions
 		}
-		if t.Cmp(root.Lo) <= 0 || t.Cmp(root.Hi) >= 0 {
-			continue // on or outside the domain edges: Partition would prune
+		if f < lo || f > hi {
+			continue // outside the domain: Partition would prune
 		}
-		entries = append(entries, entry{t: t, in: in, prio: priorityOf(seed, in.H)})
+		e := entry{f: f, in: in}
+		if f == lo || f == hi {
+			// Rounds onto an edge: only the exact value can tell
+			// whether it lies inside.
+			if t := exact(&e); t.Cmp(root.Lo) <= 0 || t.Cmp(root.Hi) >= 0 {
+				continue // on or outside the domain edges
+			}
+		}
+		e.prio = priorityOf(seed, in.H)
+		entries = append(entries, e)
 	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		if c := entries[a].t.Cmp(entries[b].t); c != 0 {
-			return c < 0
-		}
-		return canonLess(entries[a].prio, entries[a].in, entries[b].prio, entries[b].in)
-	})
-	arr := &Arrangement1D{Seed: seed}
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.f, b.f) })
+	// Entries with equal float values may still differ exactly: order
+	// each such run by the exact breakpoint, then canonically.
 	for i := 0; i < len(entries); {
-		j := i
-		for j+1 < len(entries) && entries[j+1].t.Cmp(entries[i].t) == 0 {
+		j := i + 1
+		for j < len(entries) && entries[j].f == entries[i].f {
 			j++
 		}
-		g := &Group1D{T: entries[i].t}
-		for k := i; k <= j; k++ {
-			g.Members = append(g.Members, entries[k].in)
-			g.prios = append(g.prios, entries[k].prio)
+		if run := entries[i:j]; len(run) > 1 {
+			for k := range run {
+				exact(&run[k])
+			}
+			slices.SortFunc(run, func(a, b entry) int {
+				if c := a.t.Cmp(b.t); c != 0 {
+					return c
+				}
+				if canonLess(a.prio, a.in, b.prio, b.in) {
+					return -1
+				}
+				if canonLess(b.prio, b.in, a.prio, a.in) {
+					return 1
+				}
+				return 0
+			})
+		}
+		i = j
+	}
+	arr := &Arrangement1D{Seed: seed}
+	for i := 0; i < len(entries); {
+		// A group never spans two float values; inside a float tie
+		// every member's exact breakpoint was computed above.
+		j := i + 1
+		for j < len(entries) && entries[j].f == entries[i].f && entries[j].t.Cmp(entries[i].t) == 0 {
+			j++
+		}
+		g := &Group1D{T: exact(&entries[i]), Members: make([]Intersection, j-i), prios: make([]uint64, j-i)}
+		for k := i; k < j; k++ {
+			g.Members[k-i] = entries[k].in
+			g.prios[k-i] = entries[k].prio
 		}
 		arr.Groups = append(arr.Groups, g)
-		i = j + 1
+		i = j
 	}
 	return arr, nil
 }
@@ -197,8 +255,9 @@ func NewArrangement1D(space *geometry.Space1D, inters []Intersection, seed int64
 // priority), with the subdomain leaves attached into the gaps. By treap
 // uniqueness it returns the same tree Build produces by inserting the
 // arrangement's intersections in canonical order — without any of
-// Build's O(S log S) exact-rational descent work — which is the
-// mutation plane's fast path.
+// Build's O(S log S) exact-rational descent work. It is how every 1-D
+// canonical-order tree is built: by the full construction from a fresh
+// arrangement and by the mutation plane from a merged one.
 func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error) {
 	root, ok := space.Root().(geometry.Interval1D)
 	if !ok {
@@ -244,7 +303,9 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 	// domain edges closing the ends. The strictness at each breakpoint
 	// follows the representative hyperplane's sign exactly as the
 	// insert-path Partition assigns it: the side where c·x + b >= 0
-	// keeps the closed endpoint at t.
+	// keeps the closed endpoint at t. Gap g's leaf is subdomain g: the
+	// gaps are in spatial order, so the leaves need no sort.
+	leaves := make([]*Subdomain, len(arr.Groups)+1)
 	leafFor := func(g int) *Node {
 		iv := geometry.Interval1D{}
 		if g == 0 {
@@ -261,7 +322,8 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 			iv.Hi = arr.Groups[g].T
 			iv.HiStrict = rep.H.C[0] > 0 // c > 0: left side open at t
 		}
-		return &Node{Leaf: &Subdomain{Region: iv}}
+		leaves[g] = &Subdomain{ID: g, Region: iv}
+		return &Node{Leaf: leaves[g]}
 	}
 	// build assembles the subtree rooted at group g by recursing on the
 	// skeleton; a missing child means the adjacent gap leaf (gap g lies
@@ -292,6 +354,6 @@ func BuildCanonical1D(space *geometry.Space1D, arr *Arrangement1D) (*Tree, error
 	t.Root = build(rootGroup)
 	t.NodeCount = 2*len(arr.Groups) + 1
 	t.Inserted = len(arr.Groups)
-	t.enumerate()
+	t.Subs = leaves
 	return t, nil
 }

@@ -5,12 +5,17 @@
 // region into the "above" (f_i - f_j >= 0) and "below" halves; leaves are
 // the subdomains inside which all record functions keep one fixed order.
 //
-// The construction follows the paper's §3.1 step 1 literally: every
-// intersection is inserted from the root, descending to each leaf whose
-// region it genuinely splits (with internal-node pruning so an insertion
-// only visits the subtrees its hyperplane crosses). The tree is built over
+// The tree is defined by the paper's §3.1 step 1: every intersection is
+// inserted from the root, descending to each leaf whose region it
+// genuinely splits. Build does exactly that (with internal-node pruning
+// so an insertion only visits the subtrees its hyperplane crosses), over
 // an abstract geometry.Space, so the same code serves the exact rational
-// 1-D space and the LP-backed n-dimensional space.
+// 1-D space and the LP-backed n-dimensional space. A 1-D tree built in
+// the canonical order (see canonical.go) is a pure function of its
+// sorted breakpoint arrangement, so BuildCanonical1D constructs that
+// same tree from the arrangement in linear time instead; Build remains
+// the construction for n-D spaces and for enumeration-order 1-D trees,
+// and the slow reference the differential tests hold the fast path to.
 package itree
 
 import (
@@ -88,7 +93,8 @@ type BuildOptions struct {
 // whose breakpoint falls inside the domain. A cheap float prefilter (with
 // a widened margin so no in-domain breakpoint is ever excluded) avoids
 // allocating hyperplanes for the quadratically many out-of-domain pairs;
-// the exact rational check in Space1D.Partition remains the authority.
+// the exact checks of NewArrangement1D (or of Space1D.Partition, on the
+// insert path) remain the authority.
 // It is the trivial single-bucket case of PairsPartition1D, which keeps
 // the enumeration loop — margin, hyperplane sign convention and all — in
 // one place.
@@ -125,7 +131,12 @@ func PairsND(fs []funcs.Linear) []Intersection {
 	return out
 }
 
-// Build constructs the I-tree over the given intersections.
+// Build constructs the I-tree over the given intersections by inserting
+// each one from the root, in the canonical order when opt.Shuffle is
+// set and in enumeration order otherwise. Every insertion recomputes
+// the exact child regions along its path, which costs O(S log S) exact
+// partitions in total; for 1-D canonical-order trees BuildCanonical1D
+// builds the identical tree from the arrangement without them.
 func Build(space geometry.Space, inters []Intersection, opt BuildOptions) (*Tree, error) {
 	t := &Tree{
 		Space:     space,
@@ -265,7 +276,7 @@ func (t *Tree) Boundaries1D() ([]*big.Rat, error) {
 	for i := 0; i+1 < len(t.Subs); i++ {
 		cur := t.Subs[i].Region.(geometry.Interval1D)
 		next := t.Subs[i+1].Region.(geometry.Interval1D)
-		if cur.Hi.Cmp(next.Lo) != 0 {
+		if cur.Hi != next.Lo && cur.Hi.Cmp(next.Lo) != 0 {
 			return nil, fmt.Errorf("itree: leaves %d and %d do not abut (%v vs %v)",
 				i, i+1, cur.Hi, next.Lo)
 		}

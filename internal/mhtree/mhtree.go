@@ -106,14 +106,31 @@ func WithLeaf(h *hashing.Hasher, n *Node, i int, d hashing.Digest) *Node {
 
 // SwapLeaves returns a tree with leaves i and i+1 exchanged, sharing
 // structure with n. This is the adjacent-transposition derivation used
-// when walking from one subdomain's FMH-tree to the next.
+// when walking from one subdomain's FMH-tree to the next. It descends
+// once, so every node on the two leaves' paths is rehashed once: the
+// paths share every node above the leaves' lowest common ancestor.
 func SwapLeaves(h *hashing.Hasher, n *Node, i int) *Node {
 	if i < 0 || i+1 >= n.W {
 		panic(fmt.Sprintf("mhtree: swap at %d out of range [0,%d)", i, n.W-1))
 	}
-	a := n.Leaf(i)
-	b := n.Leaf(i + 1)
-	return WithLeaf(h, WithLeaf(h, n, i, b), i+1, a)
+	return swapLeaves(h, n, i, n.Leaf(i), n.Leaf(i+1))
+}
+
+// swapLeaves returns n with leaf i set to b and leaf i+1 set to a.
+func swapLeaves(h *hashing.Hasher, n *Node, i int, a, b hashing.Digest) *Node {
+	lw := LeftWidth(n.W)
+	switch {
+	case i+1 < lw:
+		nl := swapLeaves(h, n.L, i, a, b)
+		return &Node{H: h.Node(nl.H, n.R.H), L: nl, R: n.R, W: n.W}
+	case i >= lw:
+		nr := swapLeaves(h, n.R, i-lw, a, b)
+		return &Node{H: h.Node(n.L.H, nr.H), L: n.L, R: nr, W: n.W}
+	default: // n is the lowest common ancestor: leaf i ends L, i+1 starts R
+		nl := WithLeaf(h, n.L, i, b)
+		nr := WithLeaf(h, n.R, 0, a)
+		return &Node{H: h.Node(nl.H, nr.H), L: nl, R: nr, W: n.W}
+	}
 }
 
 // Leaves returns all leaf digests left to right. Intended for tests and

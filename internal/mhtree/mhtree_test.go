@@ -121,18 +121,44 @@ func TestWithLeaf(t *testing.T) {
 
 func TestSwapLeaves(t *testing.T) {
 	h := hashing.New(nil)
-	for _, n := range []int{2, 3, 5, 8, 11, 16} {
+	for _, n := range []int{2, 3, 5, 8, 11, 16, 33} {
 		leaves := mkLeaves(n, int64(n)*7)
 		tree := Build(h, leaves)
 		for i := 0; i+1 < n; i++ {
-			swapped := SwapLeaves(h, tree, i)
+			var ctr metrics.Counter
+			swapped := SwapLeaves(hashing.New(&ctr), tree, i)
 			want := append([]hashing.Digest(nil), leaves...)
 			want[i], want[i+1] = want[i+1], want[i]
 			if swapped.Root() != Build(h, want).Root() {
 				t.Fatalf("n=%d SwapLeaves(%d) root differs from fresh build", n, i)
 			}
+			if got, want := ctr.Hashes, uint64(pathNodes(n, i, i+1)); got != want {
+				t.Fatalf("n=%d SwapLeaves(%d) used %d hashes, want %d (each internal node on the two paths once)", n, i, got, want)
+			}
 		}
 	}
+}
+
+// pathNodes counts the distinct internal nodes of a w-leaf tree that
+// lie on the root paths of leaves i and j.
+func pathNodes(w, i, j int) int {
+	if w == 1 || (i < 0 && j < 0) {
+		return 0
+	}
+	lw := LeftWidth(w)
+	left := func(k int) int {
+		if k < lw {
+			return k
+		}
+		return -1
+	}
+	right := func(k int) int {
+		if k >= lw && k < w {
+			return k - lw
+		}
+		return -1
+	}
+	return 1 + pathNodes(lw, left(i), left(j)) + pathNodes(w-lw, right(i), right(j))
 }
 
 func TestPersistentSharingBoundsMemory(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/itree"
+	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
 	"aqverify/internal/record"
 )
@@ -51,10 +52,20 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 
 	s := &Set{Plan: plan, Trees: make([]*core.Tree, plan.K())}
 	errs := make([]error, plan.K())
+	// A caller's hasher reports to one unsynchronised counter, so each
+	// concurrent shard build counts into its own and the counts are
+	// merged after the join, the way core's worker pools do.
+	var ctrs []metrics.Counter
+	if p.Hasher != nil {
+		ctrs = make([]metrics.Counter, plan.K())
+	}
 	runErr := pool.RunCtx(ctx, plan.K(), plan.K(), func(_, i int) {
 		sp := shardParams(p, plan, buckets, i)
 		if progress != nil {
 			sp.Progress = progress(i)
+		}
+		if ctrs != nil {
+			sp.Hasher = p.Hasher.WithCounter(&ctrs[i])
 		}
 		tree, err := core.BuildCtx(ctx, tbl, sp)
 		if err != nil {
@@ -63,6 +74,12 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 		}
 		s.Trees[i] = tree
 	})
+	if ctrs != nil {
+		main := p.Hasher.Counter()
+		for i := range ctrs {
+			main.Add(ctrs[i])
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -70,6 +87,11 @@ func BuildCtx(ctx context.Context, tbl record.Table, p core.Params, plan Plan, p
 	}
 	if runErr != nil {
 		return nil, runErr
+	}
+	if ctrs != nil {
+		for _, tree := range s.Trees {
+			tree.SetHasher(p.Hasher)
+		}
 	}
 	return s, nil
 }

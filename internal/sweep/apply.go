@@ -163,13 +163,14 @@ func mergeBase(fs []funcs.Linear, oldBase []int, cleanRemap []int, dirtyNew []bo
 	// Order the dirty functions among themselves exactly, then find
 	// each one's insertion point among the survivors; ties place the
 	// smaller function index first, matching funcs.SortAtRat.
+	wp := funcs.NewRatPoint(w)
 	sort.Slice(dirty, func(a, b int) bool {
-		return rankLess(fs[dirty[a]], fs[dirty[b]], w)
+		return rankLess(fs[dirty[a]], fs[dirty[b]], wp)
 	})
 	at := make([]int, len(dirty)) // insertion index into survivors
 	for i, f := range dirty {
 		at[i] = sort.Search(len(survivors), func(s int) bool {
-			return rankLess(fs[f], fs[survivors[s]], w)
+			return rankLess(fs[f], fs[survivors[s]], wp)
 		})
 	}
 	out := make([]int, 0, len(fs))

@@ -143,6 +143,7 @@ func equalPerm(a, b []int) bool {
 // applyCrossing mutates perm/inv across one boundary and returns the
 // swap positions applied.
 func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness *big.Rat) ([]int, error) {
+	w := funcs.NewRatPoint(nextWitness)
 	involved := map[int]bool{}
 	for _, pr := range group {
 		involved[pr.I] = true
@@ -164,7 +165,7 @@ func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness
 		for j+1 < len(positions) && positions[j+1] == positions[j]+1 {
 			j++
 		}
-		s := resortRun(fs, perm, inv, positions[i], positions[j], nextWitness)
+		s := resortRun(fs, perm, inv, positions[i], positions[j], w)
 		swaps = append(swaps, s...)
 		i = j + 1
 	}
@@ -173,7 +174,7 @@ func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness
 	// the next subdomain demands; a violation means the contiguity
 	// assumption broke and the caller must not build on a wrong order.
 	for _, pr := range group {
-		want := rankLess(fs[pr.I], fs[pr.J], nextWitness)
+		want := rankLess(fs[pr.I], fs[pr.J], w)
 		if (inv[pr.I] < inv[pr.J]) != want {
 			return nil, fmt.Errorf("pair (%d,%d) not ordered for the next subdomain", pr.I, pr.J)
 		}
@@ -181,9 +182,10 @@ func applyCrossing(fs []funcs.Linear, perm, inv []int, group []Pair, nextWitness
 	return swaps, nil
 }
 
-// rankLess reports whether f sorts before g at the exact point w.
-func rankLess(f, g funcs.Linear, w *big.Rat) bool {
-	if c := f.EvalRat(w).Cmp(g.EvalRat(w)); c != 0 {
+// rankLess reports whether f sorts before g at the exact point w. The
+// comparison is exact; funcs.CmpAt filters it through the float scores.
+func rankLess(f, g funcs.Linear, w funcs.RatPoint) bool {
+	if c := funcs.CmpAt(f, g, w); c != 0 {
 		return c < 0
 	}
 	return f.Index < g.Index
@@ -191,7 +193,7 @@ func rankLess(f, g funcs.Linear, w *big.Rat) bool {
 
 // resortRun bubble-sorts the block perm[lo..hi] into the exact order at
 // witness w, recording each adjacent transposition.
-func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, w *big.Rat) []int {
+func resortRun(fs []funcs.Linear, perm, inv []int, lo, hi int, w funcs.RatPoint) []int {
 	block := append([]int(nil), perm[lo:hi+1]...)
 	sort.Slice(block, func(a, b int) bool {
 		return rankLess(fs[block[a]], fs[block[b]], w)
