@@ -34,9 +34,7 @@
 // to one shard, WithMesh selects the baseline, WithBuildWorkers bounds
 // every stage's worker pool and WithProgress observes the stages. The
 // built bytes are identical for every worker count, and a canceled ctx
-// aborts construction mid-stage. The older entry points — Build,
-// BuildSharded, BuildMesh — remain as deprecated shims over the same
-// plane.
+// aborts construction mid-stage.
 //
 // # The mutation plane
 //
@@ -87,23 +85,22 @@
 //
 // Construction shards its embarrassingly parallel steps — record
 // digesting, per-subdomain FMH-list building, multi-signature signing —
-// across Params.Workers goroutines (0 = one per CPU, 1 = serial); the
+// across WithBuildWorkers goroutines (0 = one per CPU, 1 = serial); the
 // built tree is byte-identical for every worker count. VerifyBatch
 // checks many answers concurrently on the client side. Over HTTP,
 // cmd/vqserve exposes POST /query/batch, which carries many queries in
 // one length-prefixed frame and answers them concurrently on the
 // server, and POST /query/stream, which pipelines the batch's answers
 // back frame by frame in completion order — the first verified result
-// is in hand before the last query finishes, and clients fall back to
-// the buffered exchange against servers that predate the route (see
-// internal/transport and docs/WIRE.md).
+// is in hand before the last query finishes (see internal/transport and
+// docs/WIRE.md).
 //
 // # Sharding
 //
 // One logical database can be split across several independently built
 // and signed trees by cutting the domain into contiguous sub-boxes:
-// NewShardPlan + BuildSharded construct one tree per sub-box in
-// parallel, and every query routes deterministically to the shard that
+// Outsource with WithShards or WithPlan (NewShardPlan) constructs one
+// tree per sub-box in parallel, and every query routes deterministically to the shard that
 // owns its function input (points exactly on a cut go right). The
 // published parameters — and therefore client-side verification — are
 // identical to the single-tree deployment; see ARCHITECTURE.md. To
@@ -166,7 +163,8 @@ type (
 	// Tree is the IFMH-tree — the authenticated data structure of the
 	// paper's contribution.
 	Tree = core.Tree
-	// Params configures Build.
+	// Params is the core construction configuration a Tree retains;
+	// Outsource derives it from the BuildSpec and build options.
 	Params = core.Params
 	// PublicParams is what the owner publishes to its users.
 	PublicParams = core.PublicParams
@@ -182,7 +180,8 @@ type (
 	BatchItem = core.BatchItem
 	// SignatureMesh is the baseline structure of Yang, Cai & Hu.
 	SignatureMesh = mesh.Mesh
-	// MeshParams configures the baseline build.
+	// MeshParams is the baseline's construction configuration, derived
+	// by Outsource under WithMesh.
 	MeshParams = mesh.Params
 )
 
@@ -415,33 +414,10 @@ func Apply(ctx context.Context, prev *BuildResult, muts ...Mutation) (*BuildResu
 	return build.Apply(ctx, prev, muts...)
 }
 
-// Build constructs the IFMH-tree (the server-side structure the data
-// owner uploads).
-//
-// Deprecated: use Outsource, which adds cancellation, sharding planners
-// and progress callbacks behind one entry point; Build remains as a
-// shim over the same construction path.
-func Build(tbl Table, p Params) (*Tree, error) { return core.Build(tbl, p) }
-
-// BuildMesh constructs the signature-mesh baseline.
-//
-// Deprecated: use Outsource with WithMesh.
-func BuildMesh(tbl Table, p MeshParams) (*SignatureMesh, error) { return mesh.Build(tbl, p) }
-
 // NewShardPlan splits the domain into k evenly sized sub-boxes along the
 // given axis (k = 1 is the trivial plan).
 func NewShardPlan(domain Box, axis, k int) (ShardPlan, error) {
 	return shard.NewPlan(domain, axis, k)
-}
-
-// BuildSharded constructs one independently signed IFMH-tree per sub-box
-// of the plan, in parallel; p.Domain must equal plan.Domain. Answers
-// from any shard verify against the same Public() bundle a single-tree
-// build would publish.
-//
-// Deprecated: use Outsource with WithPlan or WithShards.
-func BuildSharded(tbl Table, p Params, plan ShardPlan) (*ShardSet, error) {
-	return shard.Build(tbl, p, plan)
 }
 
 // NewShardRouter wraps a built shard set for query routing.

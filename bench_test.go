@@ -85,14 +85,13 @@ func buildFixture(b *testing.B, n int, mode aqverify.Mode) (*aqverify.Tree, aqve
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := aqverify.Build(tbl, aqverify.Params{
-		Mode: mode, Signer: signer, Domain: dom,
-		Template: aqverify.AffineLine(0, 1), Shuffle: true,
-	})
+	res, err := aqverify.Outsource(context.Background(), aqverify.BuildSpec{
+		Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer,
+	}, aqverify.WithMode(mode), aqverify.WithShuffle(0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tree, dom
+	return res.Tree, dom
 }
 
 func BenchmarkBuildIFMH1000(b *testing.B) {
@@ -104,13 +103,14 @@ func BenchmarkBuildIFMH1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := aqverify.BuildSpec{
+		Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer,
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqverify.Build(tbl, aqverify.Params{
-			Mode: aqverify.OneSignature, Signer: signer, Domain: dom,
-			Template: aqverify.AffineLine(0, 1), Shuffle: true,
-		}); err != nil {
+		if _, err := aqverify.Outsource(context.Background(), spec,
+			aqverify.WithMode(aqverify.OneSignature), aqverify.WithShuffle(0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,15 +153,16 @@ func BenchmarkBuildParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := aqverify.BuildSpec{
+		Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer,
+	}
 	for _, workers := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aqverify.Build(tbl, aqverify.Params{
-					Mode: aqverify.MultiSignature, Signer: signer, Domain: dom,
-					Template: aqverify.AffineLine(0, 1), Shuffle: true,
-					Materialize: true, Workers: workers,
-				}); err != nil {
+				if _, err := aqverify.Outsource(context.Background(), spec,
+					aqverify.WithMode(aqverify.MultiSignature), aqverify.WithShuffle(0),
+					aqverify.WithMaterialize(), aqverify.WithBuildWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,6 +225,9 @@ func BenchmarkShardedBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := aqverify.BuildSpec{
+		Table: tbl, Template: aqverify.AffineLine(0, 1), Domain: dom, Signer: signer,
+	}
 	for _, k := range []int{1, 2, 4, 8} {
 		plan, err := aqverify.NewShardPlan(dom, 0, k)
 		if err != nil {
@@ -232,10 +236,9 @@ func BenchmarkShardedBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := aqverify.BuildSharded(tbl, aqverify.Params{
-					Mode: aqverify.MultiSignature, Signer: signer, Domain: dom,
-					Template: aqverify.AffineLine(0, 1), Shuffle: true,
-				}, plan); err != nil {
+				if _, err := aqverify.Outsource(context.Background(), spec,
+					aqverify.WithMode(aqverify.MultiSignature), aqverify.WithShuffle(0),
+					aqverify.WithPlan(plan)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -243,10 +246,10 @@ func BenchmarkShardedBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleBatch measures the batched query plane: 256 mixed
+// BenchmarkServerQueryBatch measures the batched query plane: 256 mixed
 // queries per batch against one IFMH server, sequential versus fanned
 // out across the CPUs.
-func BenchmarkHandleBatch(b *testing.B) {
+func BenchmarkServerQueryBatch(b *testing.B) {
 	tree, dom := buildFixture(b, 2000, aqverify.OneSignature)
 	srv, err := server.New(server.IFMH{Tree: tree})
 	if err != nil {
@@ -269,7 +272,7 @@ func BenchmarkHandleBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errs := srv.HandleBatch(qs, workers)
+				_, errs := srv.QueryBatch(context.Background(), qs, aqverify.WithWorkers(workers))
 				for j, err := range errs {
 					if err != nil {
 						b.Fatalf("query %d: %v", j, err)

@@ -27,7 +27,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -65,17 +64,18 @@ func run() error {
 		return err
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o, err := owner.NewWithScheme(sig.RSA, sig.Options{})
+	signer, err := sig.NewSigner(sig.RSA, sig.Options{})
 	if err != nil {
 		return err
 	}
+	spec := build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}
 
 	var srv *server.Server
 	var cli *client.Client
 	var res *build.Result
 	switch *backend {
 	case "ifmh":
-		res, err = build.Outsource(context.Background(), o.Spec(tbl, tpl, dom),
+		res, err = build.Outsource(context.Background(), spec,
 			build.WithMode(mode), build.WithShuffle(*seed))
 		if err != nil {
 			return err
@@ -88,7 +88,7 @@ func run() error {
 		}
 		cli = client.NewIFMH(res.Public)
 	case "mesh":
-		res, err = build.Outsource(context.Background(), o.Spec(tbl, tpl, dom), build.WithMesh())
+		res, err = build.Outsource(context.Background(), spec, build.WithMesh())
 		if err != nil {
 			return err
 		}

@@ -81,7 +81,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
@@ -161,7 +160,7 @@ func run() error {
 	if *keySeed != 0 {
 		sigOpt.Rand = sig.DeterministicRand(*keySeed)
 	}
-	o, err := owner.NewWithScheme(sig.Scheme(*scheme), sigOpt)
+	signer, err := sig.NewSigner(sig.Scheme(*scheme), sigOpt)
 	if err != nil {
 		return err
 	}
@@ -212,7 +211,8 @@ func run() error {
 	}
 
 	start := time.Now()
-	res, err := build.Outsource(context.Background(), o.Spec(tbl, tpl, dom), opts...)
+	res, err := build.Outsource(context.Background(),
+		build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}, opts...)
 	if err != nil {
 		return err
 	}

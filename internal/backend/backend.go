@@ -7,9 +7,13 @@
 //   - Local — one in-process IFMH-tree (*core.Tree),
 //   - Sharded — a domain-sharded tree set behind a *shard.Router,
 //   - *server.Server — the metrics-keeping in-process cloud server,
-//   - transport.Remote — a vqserve process reached over HTTP, and
-//   - Fanout — a front-end composing K single-shard backends (typically
-//     Remotes, one vqserve per shard) into one logical database.
+//   - transport.Remote — a vqserve process reached over HTTP, the one
+//     verifying client over the network (WithVerify against the bundle
+//     its /params published), and
+//   - Fanout — a front-end composing K single-shard backends into one
+//     logical database; front.DialFront builds it over K replica sets
+//     of Remotes, one vqserve per replica (one replica per shard in the
+//     plain multi-process deployment).
 //
 // Every answer carries the serialized wire bytes — exactly what POST
 // /query returns — plus the answering shard, so callers can layer

@@ -13,8 +13,9 @@ import (
 )
 
 // Fanout is the multi-process shard front-end: it composes K backends —
-// one per sub-box of a shard plan, typically transport.Remote handles on
-// K vqserve processes — into one logical database. Every query routes to
+// one per sub-box of a shard plan, in vqfront the front.ReplicaSets over
+// transport.Remote handles on the vqserve processes — into one logical
+// database. Every query routes to
 // the backend whose sub-box owns its function input (the same
 // deterministic on-cut-goes-right rule shard.Router applies), batches
 // are split per shard and dispatched to all owning backends

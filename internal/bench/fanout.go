@@ -11,6 +11,7 @@ import (
 	"aqverify/internal/build"
 	"aqverify/internal/cache"
 	"aqverify/internal/core"
+	"aqverify/internal/front"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
@@ -24,8 +25,9 @@ import (
 // fanoutScaling compares the two shard deployments the unified query
 // plane offers: the single-process sharded server (one process, K trees
 // behind shard-grouped batch dispatch) against the K-process fanout
-// (one HTTP server per shard behind a backend.Fanout front-end, the
-// vqfront topology, here on httptest loopback listeners). Both answer
+// (one HTTP server per shard behind a front.DialFront front-end with one
+// replica per shard, the vqfront topology, here on httptest loopback
+// listeners). Both answer
 // the same batch; the figure reports batch throughput and cross-checks
 // the answers record for record. On a 1-CPU host the fanout column
 // mostly prices the HTTP hop — the deployment buys per-shard machines,
@@ -140,7 +142,7 @@ func timeShardedBatch(ctx context.Context, set *shard.Set, qs []query.Query) (fl
 // shard, or (stream) over the pipelined wire transport, with (cached)
 // the front-end wrapped in the cache tier, the vqfront -cache topology.
 func timeFanoutBatch(ctx context.Context, set *shard.Set, qs []query.Query, stream, cached bool) (float64, []backend.Answer, error) {
-	urls := make([]string, set.NumShards())
+	groups := make([][]string, set.NumShards())
 	servers := make([]*httptest.Server, set.NumShards())
 	defer func() {
 		for _, ts := range servers {
@@ -159,25 +161,26 @@ func timeFanoutBatch(ctx context.Context, set *shard.Set, qs []query.Query, stre
 			return 0, nil, err
 		}
 		servers[i] = httptest.NewServer(hd)
-		urls[i] = servers[i].URL
+		groups[i] = []string{servers[i].URL}
 	}
-	f, _, err := transport.DialFanout(urls, nil)
+	f, _, err := front.DialFront(groups, nil, front.Options{ProbeEvery: -1})
 	if err != nil {
 		return 0, nil, err
 	}
-	var front backend.Backend = f
+	defer f.Close()
+	var fe backend.Backend = f
 	if cached {
-		if front, err = cache.Wrap(f); err != nil {
+		if fe, err = cache.Wrap(f); err != nil {
 			return 0, nil, err
 		}
 	}
 	run := func(qs []query.Query) ([]backend.Answer, []error) {
 		if !stream {
-			return front.QueryBatch(ctx, qs)
+			return fe.QueryBatch(ctx, qs)
 		}
 		answers := make([]backend.Answer, len(qs))
 		errs := make([]error, len(qs))
-		for i, r := range front.QueryStream(ctx, qs) {
+		for i, r := range fe.QueryStream(ctx, qs) {
 			answers[i], errs[i] = r.Answer, r.Err
 		}
 		return answers, errs

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"aqverify/internal/core"
+	"aqverify/internal/metrics"
 	"aqverify/internal/pool"
 	"aqverify/internal/record"
 	"aqverify/internal/shard"
@@ -123,14 +124,27 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		}
 		ns := &shard.Set{Plan: set.Plan, Trees: make([]*core.Tree, len(set.Trees))}
 		errs := make([]error, len(set.Trees))
+		// The shard trees share the caller's hasher, whose counter is
+		// unsynchronised, so each concurrent apply counts into its own
+		// and the counts are merged after the join, as shard.BuildCtx
+		// does for the build. The previous epoch's trees may still be
+		// serving, so they are never rebound.
+		ctrs := make([]metrics.Counter, len(set.Trees))
 		runErr := pool.RunCtx(ctx, len(set.Trees), len(set.Trees), func(_, i int) {
-			nt, err := set.Trees[i].ApplyCtx(ctx, d, epoch+1, nil)
+			di := d
+			di.Hasher = set.Trees[i].Hasher().WithCounter(&ctrs[i])
+			nt, err := set.Trees[i].ApplyCtx(ctx, di, epoch+1, nil)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
 			}
 			ns.Trees[i] = nt
 		})
+		for i, t := range set.Trees {
+			if h := t.Hasher(); h != nil {
+				h.Counter().Add(ctrs[i])
+			}
+		}
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -138,6 +152,9 @@ func Apply(ctx context.Context, prev *Result, muts ...Mutation) (*Result, error)
 		}
 		if runErr != nil {
 			return nil, runErr
+		}
+		for i, nt := range ns.Trees {
+			nt.SetHasher(set.Trees[i].Hasher())
 		}
 		return &Result{Set: ns, Plan: prev.Plan, Shard: ShardNone, Public: ns.Public()}, nil
 

@@ -187,6 +187,15 @@ func TestOutsourceOptionConflicts(t *testing.T) {
 	if _, err := Outsource(ctx, Spec{Table: spec.Table, Template: spec.Template, Domain: spec.Domain}); err == nil {
 		t.Error("missing signer: no error")
 	}
+	bad := spec
+	bad.Template = funcs.ScalarProduct(5) // wider than the table
+	if _, err := Outsource(ctx, bad); err == nil {
+		t.Error("template wider than the table: no error")
+	}
+	bad.Template = funcs.ScalarProduct(2) // multivariate
+	if _, err := Outsource(ctx, bad, WithMesh()); err == nil {
+		t.Error("multivariate mesh: no error")
+	}
 }
 
 // TestOutsourceCanceled mirrors internal/core/cancel_test.go on the

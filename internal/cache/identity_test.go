@@ -10,6 +10,7 @@ import (
 	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
+	"aqverify/internal/front"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
@@ -189,7 +190,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 		ts.Close()
 
 		// K-process fanout.
-		urls := make([]string, shardedRes.Set.NumShards())
+		groups := make([][]string, shardedRes.Set.NumShards())
 		var shardServers []*httptest.Server
 		for i, tree := range shardedRes.Set.Trees {
 			ssrv, err := server.New(server.IFMH{Tree: tree})
@@ -202,13 +203,13 @@ func TestCachedEqualsUncached(t *testing.T) {
 			}
 			ts := httptest.NewServer(shd)
 			shardServers = append(shardServers, ts)
-			urls[i] = ts.URL
+			groups[i] = []string{ts.URL}
 		}
-		fanU, _, err := transport.DialFanout(urls, nil)
+		fanU, _, err := front.DialFront(groups, nil, front.Options{ProbeEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fanC, _, err := transport.DialFanout(urls, nil)
+		fanC, _, err := front.DialFront(groups, nil, front.Options{ProbeEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,14 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/server"
 )
 
@@ -20,10 +23,30 @@ func batchQueries(dom geometry.Box) []query.Query {
 	}
 }
 
-// TestQueryBatchVerifies: the batched client path returns exactly what
-// per-query Query returns — verified records for honest answers, a
-// server error for the refused query — for IFMH and mesh backends alike
-// and for every worker count.
+// checkBatch runs qs through the server's batch path, carries every
+// answer through ch, and checks each one with c.Check — the data user's
+// side of one batched exchange with a server whose answers it must not
+// trust. The results are parallel to qs.
+func checkBatch(c *Client, s *server.Server, ch Channel, qs []query.Query, workers int) ([][]record.Record, []error) {
+	answers, errs := s.QueryBatch(context.Background(), qs, backend.WithWorkers(workers))
+	recs := make([][]record.Record, len(qs))
+	for i := range qs {
+		if errs[i] != nil {
+			continue
+		}
+		raw := answers[i].Raw
+		if ch != nil {
+			raw = ch(raw)
+		}
+		recs[i], errs[i] = c.Check(qs[i], raw)
+	}
+	return recs, errs
+}
+
+// TestQueryBatchVerifies: the server's batch path, checked answer by
+// answer, returns exactly what per-query Query returns — verified
+// records for honest answers, a server error for the refused query —
+// for IFMH and mesh backends alike and for every worker count.
 func TestQueryBatchVerifies(t *testing.T) {
 	srv, pub, msrv, mpub, dom := fixtures(t)
 	qs := batchQueries(dom)
@@ -36,29 +59,26 @@ func TestQueryBatchVerifies(t *testing.T) {
 		{"mesh", NewMesh(mpub), msrv},
 	} {
 		// Sequential reference results.
-		want := make([]BatchResult, len(qs))
+		wantRecs := make([][]record.Record, len(qs))
+		wantErrs := make([]error, len(qs))
 		for i, q := range qs {
-			recs, err := tc.cli.Query(tc.srv, nil, q)
-			want[i] = BatchResult{Records: recs, Err: err}
+			wantRecs[i], wantErrs[i] = tc.cli.Query(tc.srv, nil, q)
 		}
 		for _, workers := range []int{0, 1, 4} {
-			results := tc.cli.QueryBatch(tc.srv, nil, qs, workers)
-			if len(results) != len(qs) {
-				t.Fatalf("%s workers=%d: %d results for %d queries", tc.name, workers, len(results), len(qs))
-			}
-			for i, r := range results {
-				if (r.Err != nil) != (want[i].Err != nil) {
-					t.Errorf("%s workers=%d query %d: err = %v, want err = %v", tc.name, workers, i, r.Err, want[i].Err)
+			recs, errs := checkBatch(tc.cli, tc.srv, nil, qs, workers)
+			for i := range qs {
+				if (errs[i] != nil) != (wantErrs[i] != nil) {
+					t.Errorf("%s workers=%d query %d: err = %v, want err = %v", tc.name, workers, i, errs[i], wantErrs[i])
 					continue
 				}
-				if len(r.Records) != len(want[i].Records) {
-					t.Errorf("%s workers=%d query %d: %d records, want %d", tc.name, workers, i, len(r.Records), len(want[i].Records))
+				if len(recs[i]) != len(wantRecs[i]) {
+					t.Errorf("%s workers=%d query %d: %d records, want %d", tc.name, workers, i, len(recs[i]), len(wantRecs[i]))
 					continue
 				}
-				for j := range r.Records {
-					if r.Records[j].ID != want[i].Records[j].ID {
+				for j := range recs[i] {
+					if recs[i][j].ID != wantRecs[i][j].ID {
 						t.Errorf("%s workers=%d query %d record %d: ID %d, want %d",
-							tc.name, workers, i, j, r.Records[j].ID, want[i].Records[j].ID)
+							tc.name, workers, i, j, recs[i][j].ID, wantRecs[i][j].ID)
 					}
 				}
 			}
@@ -82,30 +102,19 @@ func TestQueryBatchTamperingRejected(t *testing.T) {
 		}
 		return b
 	}
-	results := cli.QueryBatch(srv, ch, qs, 4)
-	for i, r := range results {
+	recs, errs := checkBatch(cli, srv, ch, qs, 4)
+	for i := range qs {
 		if i == 1 {
-			if !errors.Is(r.Err, ErrRejected) {
-				t.Errorf("tampered item error = %v, want ErrRejected", r.Err)
+			if !errors.Is(errs[i], ErrRejected) {
+				t.Errorf("tampered item error = %v, want ErrRejected", errs[i])
 			}
-			if len(r.Records) != 0 {
+			if len(recs[i]) != 0 {
 				t.Error("tampered item still returned records")
 			}
 			continue
 		}
-		if r.Err != nil {
-			t.Errorf("untampered query %d rejected: %v", i, r.Err)
+		if errs[i] != nil {
+			t.Errorf("untampered query %d rejected: %v", i, errs[i])
 		}
-	}
-}
-
-// TestCheckBatchNilAnswer: a missing answer is a rejection, not a panic.
-func TestCheckBatchNilAnswer(t *testing.T) {
-	_, pub, _, _, dom := fixtures(t)
-	cli := NewIFMH(pub)
-	qs := batchQueries(dom)[:1]
-	results := cli.CheckBatch(qs, [][]byte{nil}, 2)
-	if !errors.Is(results[0].Err, ErrRejected) {
-		t.Errorf("nil answer error = %v, want ErrRejected", results[0].Err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"aqverify/internal/core"
 	"aqverify/internal/mesh"
 	"aqverify/internal/metrics"
-	"aqverify/internal/pool"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
@@ -63,119 +62,10 @@ func (c *Client) Query(s *server.Server, ch Channel, q query.Query) ([]record.Re
 	return recs, err
 }
 
-// BatchResult is one query's outcome in a batched exchange. Err wraps
-// ErrRejected whenever the answer bytes failed to parse or verify.
-// Shard reports which shard of a domain-sharded server answered (-1
-// when the server is unsharded or the shard is unknown); verification
-// never depends on it.
-type BatchResult struct {
-	Records []record.Record
-	Err     error
-	Shard   int
-}
-
-// QueryBatch sends a batch of queries through the server's batch path
-// and verifies every answer concurrently (workers <= 0 means one per
-// CPU). The result slice is parallel to qs; a per-item error never
-// aborts the rest of the batch. Metrics accumulate exactly as if each
-// query had been issued through Query.
-func (c *Client) QueryBatch(s *server.Server, ch Channel, qs []query.Query, workers int) []BatchResult {
-	raws, shards, errs := s.HandleBatchShards(qs, workers)
-	results := newBatchResults(len(qs))
-	for i := range raws {
-		results[i].Shard = shards[i]
-		if errs[i] != nil {
-			results[i].Err = fmt.Errorf("client: server error: %w", errs[i])
-			raws[i] = nil
-			continue
-		}
-		if ch != nil {
-			raws[i] = ch(raws[i])
-		}
-	}
-	c.checkBatch(qs, raws, workers, results)
-	return results
-}
-
-// CheckBatch parses and verifies many serialized answers concurrently
-// without contacting a server — the batched counterpart of Check. raws
-// is parallel to qs; a nil raws[i] yields a rejected item.
-func (c *Client) CheckBatch(qs []query.Query, raws [][]byte, workers int) []BatchResult {
-	results := newBatchResults(len(qs))
-	c.checkBatch(qs, raws, workers, results)
-	return results
-}
-
-// newBatchResults allocates a result slice with every shard unknown.
-func newBatchResults(n int) []BatchResult {
-	results := make([]BatchResult, n)
-	for i := range results {
-		results[i].Shard = wire.ShardNone
-	}
-	return results
-}
-
-// checkBatch verifies raws[i] into results[i] for every index whose
-// result is not already an error. The IFMH decode happens inline (it is
-// cheap); the signature-and-hash-heavy core verification fans out
-// through core.VerifyBatch. Mesh answers verify on a local worker pool.
-func (c *Client) checkBatch(qs []query.Query, raws [][]byte, workers int, results []BatchResult) {
-	workers = pool.Workers(workers, len(qs))
-	var total metrics.Counter
-	switch {
-	case c.IFMH != nil:
-		// Decode and cross-check serially, collecting the verifiable
-		// triples for the parallel verifier.
-		items := make([]core.BatchItem, 0, len(qs))
-		idx := make([]int, 0, len(qs))
-		for i := range qs {
-			if results[i].Err != nil {
-				continue
-			}
-			total.AddBytes(uint64(len(raws[i])))
-			ans, err := wire.DecodeIFMH(raws[i])
-			if err != nil {
-				results[i].Err = fmt.Errorf("%w: %v", ErrRejected, err)
-				continue
-			}
-			if !sameQuery(qs[i], ans.Query) {
-				results[i].Err = fmt.Errorf("%w: server answered a different query", ErrRejected)
-				continue
-			}
-			results[i].Records = ans.Records
-			items = append(items, core.BatchItem{Query: qs[i], Records: ans.Records, VO: &ans.VO})
-			idx = append(idx, i)
-		}
-		for j, err := range core.VerifyBatch(*c.IFMH, items, workers, &total) {
-			if err != nil {
-				results[idx[j]].Records = nil
-				results[idx[j]].Err = fmt.Errorf("%w: %v", ErrRejected, err)
-			}
-		}
-	default:
-		// Mesh (or misconfigured) clients verify per item on a bounded
-		// worker pool; verify() handles both.
-		ctrs := make([]metrics.Counter, workers)
-		pool.Run(len(qs), workers, func(w, i int) {
-			if results[i].Err != nil {
-				return
-			}
-			ctrs[w].AddBytes(uint64(len(raws[i])))
-			recs, err := c.verify(qs[i], raws[i], &ctrs[w])
-			results[i].Records, results[i].Err = recs, err
-		})
-		for i := range ctrs {
-			total.Add(ctrs[i])
-		}
-	}
-	c.mu.Lock()
-	c.total.Add(total)
-	c.mu.Unlock()
-}
-
 // Check parses and verifies one serialized answer without contacting a
 // server — the entry point for transports that deliver the bytes
-// themselves (e.g. the HTTP client). Metrics accumulate as with Query.
+// themselves (e.g. the raw bytes of transport.Remote.Query against a
+// mesh server). Metrics accumulate as with Query.
 func (c *Client) Check(q query.Query, raw []byte) ([]record.Record, error) {
 	var ctr metrics.Counter
 	ctr.AddBytes(uint64(len(raw)))

@@ -33,6 +33,11 @@ type Delta struct {
 	// DirtyNew marks each new index whose record is inserted or
 	// updated — exactly the complement of CleanRemap's image.
 	DirtyNew []bool
+	// Hasher, when set, does the apply's hashing in place of the
+	// previous tree's hasher and becomes the new tree's hasher: applies
+	// running concurrently over trees that share one hasher (the shards
+	// of a set) each pass their own counter-bound copy.
+	Hasher *hashing.Hasher
 }
 
 // dirtyCount returns the number of dirty new records.
@@ -117,6 +122,10 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 	p := t.bp
 	p.Progress = progress
 	p.Epoch = epoch
+	hasher := t.hasher
+	if d.Hasher != nil {
+		hasher, p.Hasher = d.Hasher, d.Hasher
+	}
 	if p.Signer == nil {
 		// Covers both legacy trees and serve-only reconstructions
 		// (FromSnapshot / a loaded artifact): without the owner's key
@@ -138,7 +147,7 @@ func (t *Tree) ApplyCtx(ctx context.Context, d Delta, epoch uint64, progress fun
 		space:    t.space,
 		domain:   t.domain,
 		template: t.template,
-		hasher:   t.hasher,
+		hasher:   hasher,
 		table:    d.Table,
 		fs:       fs,
 		verifier: t.verifier,

@@ -216,6 +216,10 @@ type Tree struct {
 	permCache permCacheHook
 }
 
+// Hasher returns the hasher the tree does its post-construction
+// hashing on (see SetHasher).
+func (t *Tree) Hasher() *hashing.Hasher { return t.hasher }
+
 // SetHasher rebinds the tree to h for the hashing it does after
 // construction (mutation batches applied to it). A builder that ran
 // the construction on a hasher of its own — one per concurrent shard

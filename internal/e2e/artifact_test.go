@@ -3,17 +3,20 @@ package e2e
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"testing"
 
 	"aqverify/internal/artifact"
+	"aqverify/internal/backend"
 	"aqverify/internal/build"
 	"aqverify/internal/core"
+	"aqverify/internal/front"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/transport"
@@ -29,16 +32,38 @@ func buildForArtifact(t *testing.T, n int, shuffle int64, opts ...build.Option) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := owner.NewWithScheme(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts = append([]build.Option{build.WithMode(core.MultiSignature), build.WithShuffle(shuffle)}, opts...)
-	res, err := build.Outsource(context.Background(), o.Spec(tbl, funcs.AffineLine(0, 1), dom), opts...)
-	if err != nil {
-		t.Fatal(err)
+	return outsource(t, build.Spec{Table: tbl, Template: funcs.AffineLine(0, 1), Domain: dom, Signer: signer}, opts...)
+}
+
+// queryVerified asks r for q and verifies the answer against the IFMH
+// bundle r's server published on /params.
+func queryVerified(r *transport.Remote, q query.Query) ([]record.Record, error) {
+	pub, ok := r.Client().Public()
+	if !ok {
+		return nil, fmt.Errorf("%s publishes no IFMH bundle", r.Client().Base())
 	}
-	return res
+	ans, err := r.Query(context.Background(), q, backend.WithVerify(pub))
+	return ans.Records, err
+}
+
+// dialFront composes single-replica shard groups the way vqfront does,
+// without the background prober.
+func dialFront(t *testing.T, urls ...string) (*front.Frontend, transport.Params, error) {
+	t.Helper()
+	groups := make([][]string, len(urls))
+	for i, u := range urls {
+		groups[i] = []string{u}
+	}
+	f, params, err := front.DialFront(groups, nil, front.Options{ProbeEvery: -1})
+	if err == nil {
+		t.Cleanup(func() { f.Close() })
+	}
+	return f, params, err
 }
 
 // serveArtifact opens dir (or one shard of it) and serves the loaded
@@ -107,10 +132,11 @@ func TestArtifactServeHTTP(t *testing.T) {
 	}
 	ts := serveArtifact(t, dir, -1)
 
-	cli, err := transport.Dial(ts.URL, nil)
+	r, err := transport.DialRemote(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli := r.Client()
 	if cli.Artifact() != info.HashHex() {
 		t.Fatalf("client pinned artifact %q, saved %q", cli.Artifact(), info.HashHex())
 	}
@@ -119,7 +145,7 @@ func TestArtifactServeHTTP(t *testing.T) {
 	}
 	dom := res.Tree.Domain()
 	for _, q := range artifactQueries(dom) {
-		recs, err := cli.Query(q)
+		recs, err := queryVerified(r, q)
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
@@ -150,7 +176,7 @@ func TestArtifactFanout(t *testing.T) {
 		urls[i] = serveArtifact(t, dir, i).URL
 	}
 	urls[0], urls[2] = urls[2], urls[0] // scrambled, like kprocess
-	f, params, err := transport.DialFanout(urls, nil)
+	f, params, err := dialFront(t, urls...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +187,15 @@ func TestArtifactFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(h)
-	defer front.Close()
-	cli, err := transport.Dial(front.URL, nil)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	r, err := transport.DialRemote(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := res.Set.Trees[0].Table()
 	for _, q := range artifactQueries(res.Plan.Domain) {
-		recs, err := cli.Query(q)
+		recs, err := queryVerified(r, q)
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
@@ -199,7 +225,7 @@ func TestArtifactFanoutMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := []string{serveArtifact(t, dirA, 0).URL, serveArtifact(t, dirB, 1).URL}
-	_, _, err := transport.DialFanout(urls, nil)
+	_, _, err := dialFront(t, urls...)
 	var mm *transport.ArtifactMismatchError
 	if !errors.As(err, &mm) {
 		t.Fatalf("dialed mixed artifacts: err=%v, want ArtifactMismatchError", err)
@@ -219,7 +245,7 @@ func TestArtifactFanoutMismatch(t *testing.T) {
 	}
 	tsB := httptest.NewServer(hB)
 	defer tsB.Close()
-	if _, _, err := transport.DialFanout([]string{urls[0], tsB.URL}, nil); err != nil {
+	if _, _, err := dialFront(t, urls[0], tsB.URL); err != nil {
 		t.Fatalf("mixed built/loaded deployment refused: %v", err)
 	}
 }

@@ -1,14 +1,15 @@
 package e2e
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
-	"aqverify/internal/client"
+	"aqverify/internal/backend"
+	"aqverify/internal/build"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
 	"aqverify/internal/server"
 	"aqverify/internal/workload"
@@ -16,27 +17,37 @@ import (
 
 // TestBatchedRoundTrip drives the whole batched pipeline end to end for
 // a parallel-built tree: owner builds with a worker pool, server fans a
-// mixed batch out across HandleBatch, client verifies every answer
-// through the VerifyBatch-backed batch checker, and a tampering channel
-// takes down exactly the answers it touched.
+// mixed batch out across QueryBatch, the data user verifies every
+// answer through the VerifyBatch-backed backend.FinishBatch, and a
+// tampering channel takes down exactly the answers it touched.
 func TestBatchedRoundTrip(t *testing.T) {
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 150, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
+	spec := ownerSpec(t, tbl, tpl, dom)
 
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
-		tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: mode, Shuffle: true, Workers: 4})
+		res := outsource(t, spec, build.WithMode(mode), build.WithShuffle(0), build.WithWorkers(4))
+		srv, err := server.New(server.IFMH{Tree: res.Tree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
+		// queryBatch is the data user's side of one batched exchange:
+		// the server answers, ch carries every answer in index order,
+		// and the batch is verified against the published bundle.
+		queryBatch := func(qs []query.Query, ch func([]byte) []byte) ([]backend.Answer, []error) {
+			answers, errs := srv.QueryBatch(context.Background(), qs, backend.WithWorkers(4))
+			for i := range answers {
+				if errs[i] == nil && ch != nil {
+					answers[i].Raw = ch(answers[i].Raw)
+				}
+			}
+			backend.FinishBatch(context.Background(), qs, answers, errs,
+				backend.WithVerify(res.Public), backend.WithWorkers(4))
+			return answers, errs
 		}
-		cli := client.NewIFMH(pub)
 
 		rng := rand.New(rand.NewSource(8))
 		qs := make([]query.Query, 24)
@@ -56,9 +67,10 @@ func TestBatchedRoundTrip(t *testing.T) {
 
 		// Honest channel: every answer verifies and matches the trusted
 		// local execution.
-		for i, r := range cli.QueryBatch(srv, nil, qs, 4) {
-			if r.Err != nil {
-				t.Fatalf("%v: query %d rejected: %v", mode, i, r.Err)
+		answers, errs := queryBatch(qs, nil)
+		for i, r := range answers {
+			if errs[i] != nil {
+				t.Fatalf("%v: query %d rejected: %v", mode, i, errs[i])
 			}
 			want, err := query.Exec(tbl, tpl, qs[i])
 			if err != nil {
@@ -86,13 +98,14 @@ func TestBatchedRoundTrip(t *testing.T) {
 			return out
 		}
 		n = 0
-		for i, r := range cli.QueryBatch(srv, ch, qs, 4) {
+		_, errs = queryBatch(qs, ch)
+		for i, err := range errs {
 			tampered := (i+1)%3 == 0
-			if tampered && r.Err == nil {
+			if tampered && err == nil {
 				t.Fatalf("%v: tampered query %d accepted", mode, i)
 			}
-			if !tampered && r.Err != nil {
-				t.Fatalf("%v: untampered query %d rejected: %v", mode, i, r.Err)
+			if !tampered && err != nil {
+				t.Fatalf("%v: untampered query %d rejected: %v", mode, i, err)
 			}
 		}
 	}

@@ -5,28 +5,42 @@
 package e2e
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/build"
 	"aqverify/internal/client"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
-	"aqverify/internal/owner"
 	"aqverify/internal/query"
+	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
 	"aqverify/internal/workload"
 )
 
-func newOwner(t testing.TB) *owner.Owner {
+// ownerSpec binds the table to a fresh owner key: the Spec every
+// product of one test is outsourced from.
+func ownerSpec(t testing.TB, tbl record.Table, tpl funcs.Template, dom geometry.Box) build.Spec {
 	t.Helper()
-	o, err := owner.NewWithScheme(sig.Ed25519, sig.Options{})
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	return build.Spec{Table: tbl, Template: tpl, Domain: dom, Signer: signer}
+}
+
+// outsource runs the owner's build, failing the test on error.
+func outsource(t testing.TB, spec build.Spec, opts ...build.Option) *build.Result {
+	t.Helper()
+	res, err := build.Outsource(context.Background(), spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestFullRoundTripAllBackends(t *testing.T) {
@@ -35,7 +49,7 @@ func TestFullRoundTripAllBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
+	spec := ownerSpec(t, tbl, tpl, dom)
 
 	type setup struct {
 		name string
@@ -44,25 +58,19 @@ func TestFullRoundTripAllBackends(t *testing.T) {
 	}
 	var setups []setup
 	for _, mode := range []core.Mode{core.OneSignature, core.MultiSignature} {
-		tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: mode, Shuffle: true})
+		res := outsource(t, spec, build.WithMode(mode), build.WithShuffle(0))
+		srv, err := server.New(server.IFMH{Tree: res.Tree})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		setups = append(setups, setup{srv.Name(), srv, client.NewIFMH(pub)})
+		setups = append(setups, setup{srv.Name(), srv, client.NewIFMH(res.Public)})
 	}
-	m, mpub, err := o.OutsourceMesh(tbl, tpl, dom, owner.Options{})
+	mres := outsource(t, spec, build.WithMesh())
+	msrv, err := server.New(server.Mesh{M: mres.Mesh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	msrv, err := server.New(server.Mesh{M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setups = append(setups, setup{msrv.Name(), msrv, client.NewMesh(mpub)})
+	setups = append(setups, setup{msrv.Name(), msrv, client.NewMesh(mres.MeshPublic)})
 
 	rng := rand.New(rand.NewSource(2))
 	for _, su := range setups {
@@ -107,16 +115,12 @@ func TestChannelBitFlipsAreRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
-	tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: core.OneSignature, Shuffle: true})
+	res := outsource(t, ownerSpec(t, tbl, tpl, dom), build.WithMode(core.OneSignature), build.WithShuffle(0))
+	srv, err := server.New(server.IFMH{Tree: res.Tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := client.NewIFMH(pub)
+	cli := client.NewIFMH(res.Public)
 	rng := rand.New(rand.NewSource(4))
 
 	flipper := func(b []byte) []byte {
@@ -158,16 +162,12 @@ func TestLyingServerIsCaughtEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tpl := funcs.AffineLine(0, 1)
-	o := newOwner(t)
-	tree, pub, err := o.OutsourceIFMH(tbl, tpl, dom, owner.Options{Mode: core.MultiSignature, Shuffle: true})
+	res := outsource(t, ownerSpec(t, tbl, tpl, dom), build.WithMode(core.MultiSignature), build.WithShuffle(0))
+	srv, err := server.New(server.IFMH{Tree: res.Tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.IFMH{Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := client.NewIFMH(pub)
+	cli := client.NewIFMH(res.Public)
 
 	// The channel re-encodes a truncated answer: this models the server
 	// itself lying (same bytes it could have produced directly).

@@ -149,9 +149,9 @@ type Frontend struct {
 // DialFront dials every replica of every shard — groups[i] lists shard
 // group i's replica base URLs — recovers the shard plan from the
 // advertised serving domains, and composes the replica sets into a
-// Frontend. It enforces the same compatibility rules DialFanout
-// enforces, per replica: one backend name, verifier key and template
-// across the fleet; one artifact content hash across every
+// Frontend — with one replica per group, the plain K-process shard
+// deployment. It enforces, per replica: one backend name, verifier key
+// and template across the fleet; one artifact content hash across every
 // artifact-serving replica (a mismatch is an
 // *transport.ArtifactMismatchError naming both URLs); replicas of one
 // shard group must advertise the same sub-box. Epochs may differ — a
@@ -159,8 +159,11 @@ type Frontend struct {
 // Shard groups may be listed in any order; groups is reordered in place
 // into shard order. Dial failures name the URL that failed.
 //
-// The returned Params is the merged trust bundle the front republishes,
-// exactly as DialFanout merges it.
+// The returned Params is the merged trust bundle the front republishes
+// on its own /params: the first dialed bundle with the joined domain,
+// the shard count, the fleet's newest epoch and the artifact hash
+// substituted, so a verifying client dials the front exactly as it
+// would dial a single vqserve.
 func DialFront(groups [][]string, hc *http.Client, opt Options) (*Frontend, transport.Params, error) { //lint:ignore ctxthread the prober is process-lifetime background work owned by the Frontend; Close stops it
 	opt = opt.withDefaults()
 	if len(groups) == 0 {
@@ -217,7 +220,8 @@ func DialFront(groups [][]string, hc *http.Client, opt Options) (*Frontend, tran
 		}
 		ds[si].urls = urls
 	}
-	// Shard order = ascending corner order, as DialFanout orders shards.
+	// Shard order = ascending corner order; for a one-axis split this is
+	// the left-to-right order PlanFromBoxes requires.
 	sort.SliceStable(ds, func(i, j int) bool {
 		for d := range ds[i].box.Lo {
 			if ds[i].box.Lo[d] != ds[j].box.Lo[d] {

@@ -1,6 +1,7 @@
 // Package pool provides the bounded worker-pool primitive shared by the
-// batched code paths (server.HandleBatch, core.VerifyBatch, the client's
-// batch checker): workers claim item indexes off a shared atomic, so
+// batched code paths (the backend batch drivers behind
+// Server.QueryBatch, core.VerifyBatch, sharded builds and applies):
+// workers claim item indexes off a shared atomic, so
 // unevenly sized items load-balance instead of straggling in a fixed
 // shard.
 package pool

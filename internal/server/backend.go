@@ -11,10 +11,11 @@ import (
 )
 
 // The Server is itself a backend.Backend: the unified query plane's
-// methods answer exactly as Handle/HandleBatch would — same routing,
-// same bytes, same cumulative metrics — but carry a context and the
-// plane's functional options. Handle and HandleBatch remain as the
-// positional entry points the HTTP transport predates the plane with.
+// methods answer exactly as Handle would — same routing, same bytes,
+// same cumulative metrics — but carry a context and the plane's
+// functional options. Handle remains as the context-free single-query
+// entry point of the in-process data user (client.Client.Query) and of
+// vqdemo's attack replay.
 var _ backend.Backend = (*Server)(nil)
 
 // Query implements backend.Backend. The answered query is recorded in
@@ -24,9 +25,8 @@ func (s *Server) Query(ctx context.Context, q query.Query, opts ...backend.Optio
 }
 
 // QueryBatch implements backend.Backend. Against a sharded backend the
-// batch is routed up front and dispatched in shard-contiguous order,
-// exactly as HandleBatchShards dispatches it: unroutable queries fail
-// without occupying a worker, and consecutive workers hit the same tree
+// batch is routed up front and dispatched in shard-contiguous order:
+// unroutable queries fail without occupying a worker, and consecutive workers hit the same tree
 // instead of interleaving all K.
 func (s *Server) QueryBatch(ctx context.Context, qs []query.Query, opts ...backend.Option) ([]backend.Answer, []error) {
 	// The routing pass and the per-query snapshots may straddle a Swap;

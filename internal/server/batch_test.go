@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
@@ -40,10 +42,10 @@ func TestHandleErrorKeepsTotalsClean(t *testing.T) {
 	}
 }
 
-// TestHandleBatchMatchesHandle: the batched path must produce, for every
+// TestQueryBatchMatchesHandle: the batched path must produce, for every
 // query, exactly the bytes and errors the sequential path produces, for
 // any worker count, and account metrics identically.
-func TestHandleBatchMatchesHandle(t *testing.T) {
+func TestQueryBatchMatchesHandle(t *testing.T) {
 	tree, _, dom := fixtures(t)
 	rng := rand.New(rand.NewSource(7))
 	qs := make([]query.Query, 40)
@@ -79,15 +81,15 @@ func TestHandleBatchMatchesHandle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, errs := s.HandleBatch(qs, workers)
-		if len(outs) != len(qs) || len(errs) != len(qs) {
-			t.Fatalf("workers=%d: result lengths %d/%d", workers, len(outs), len(errs))
+		answers, errs := s.QueryBatch(context.Background(), qs, backend.WithWorkers(workers))
+		if len(answers) != len(qs) || len(errs) != len(qs) {
+			t.Fatalf("workers=%d: result lengths %d/%d", workers, len(answers), len(errs))
 		}
 		for i := range qs {
 			if (errs[i] != nil) != wantErr[i] {
 				t.Fatalf("workers=%d: query %d error = %v, want error=%v", workers, i, errs[i], wantErr[i])
 			}
-			if !bytes.Equal(outs[i], wantOut[i]) {
+			if !bytes.Equal(answers[i].Raw, wantOut[i]) {
 				t.Fatalf("workers=%d: query %d bytes differ from sequential Handle", workers, i)
 			}
 		}
@@ -102,15 +104,15 @@ func TestHandleBatchMatchesHandle(t *testing.T) {
 	}
 }
 
-// TestHandleBatchEmpty: a zero-length batch is a no-op.
-func TestHandleBatchEmpty(t *testing.T) {
+// TestQueryBatchEmpty: a zero-length batch is a no-op.
+func TestQueryBatchEmpty(t *testing.T) {
 	tree, _, _ := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, errs := s.HandleBatch(nil, 4)
-	if len(outs) != 0 || len(errs) != 0 {
-		t.Errorf("empty batch returned %d/%d items", len(outs), len(errs))
+	answers, errs := s.QueryBatch(context.Background(), nil, backend.WithWorkers(4))
+	if len(answers) != 0 || len(errs) != 0 {
+		t.Errorf("empty batch returned %d/%d items", len(answers), len(errs))
 	}
 }

@@ -5,16 +5,15 @@ import (
 	"errors"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
 
-// TestHandleBatchShardsCtxCanceled pins the cancellation satellite: the
-// deprecated no-context shims route through the ...Ctx variants now, so
-// a legacy call shape holding a context can finally cancel — a done
-// context fails every prevented index with ctx.Err() and shard -1
-// instead of silently running the whole batch.
-func TestHandleBatchShardsCtxCanceled(t *testing.T) {
+// TestQueryBatchCanceled: a done context fails every prevented index
+// with ctx.Err(), no answer bytes and shard -1 instead of silently
+// running the whole batch; a live context answers the same batch.
+func TestQueryBatchCanceled(t *testing.T) {
 	tree, _, dom := fixtures(t)
 	s, err := New(IFMH{Tree: tree})
 	if err != nil {
@@ -28,27 +27,23 @@ func TestHandleBatchShardsCtxCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, shards, errs := s.HandleBatchShardsCtx(ctx, qs, 2)
+	answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(2))
 	for i := range qs {
 		if !errors.Is(errs[i], context.Canceled) {
 			t.Fatalf("query %d: err=%v, want context.Canceled", i, errs[i])
 		}
-		if outs[i] != nil || shards[i] != -1 {
-			t.Fatalf("query %d: prevented item carries out=%v shard=%d", i, outs[i], shards[i])
+		if answers[i].Raw != nil || answers[i].Shard != -1 {
+			t.Fatalf("query %d: prevented item carries out=%v shard=%d", i, answers[i].Raw, answers[i].Shard)
 		}
-	}
-	if _, errs := s.HandleBatchCtx(ctx, qs, 2); !errors.Is(errs[0], context.Canceled) {
-		t.Fatalf("HandleBatchCtx: err=%v, want context.Canceled", errs[0])
 	}
 
-	// The background-context shims still answer.
-	outs, shards, errs = s.HandleBatchShards(qs, 2)
+	answers, errs = s.QueryBatch(context.Background(), qs, backend.WithWorkers(2))
 	for i := range qs {
 		if errs[i] != nil {
-			t.Fatalf("live shim query %d: %v", i, errs[i])
+			t.Fatalf("live query %d: %v", i, errs[i])
 		}
-		if len(outs[i]) == 0 || shards[i] != -1 {
-			t.Fatalf("live shim query %d: out=%d bytes shard=%d", i, len(outs[i]), shards[i])
+		if len(answers[i].Raw) == 0 || answers[i].Shard != -1 {
+			t.Fatalf("live query %d: out=%d bytes shard=%d", i, len(answers[i].Raw), answers[i].Shard)
 		}
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"sync"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/geometry"
 	"aqverify/internal/query"
 )
 
 // TestStatsRaceUnderBatch is the regression test for the serving-tally
 // audit: per-query stats and error counters are updated from every
-// concurrent batch worker, so interleaving HandleBatch with the /stats
+// concurrent batch worker, so interleaving QueryBatch with the /stats
 // readers (Stats, ErrorCount, ShardStats) and single-query Handles must
 // be clean under -race. The audit moved the plain counts — answered,
 // refused, per-shard — to atomics and left only the multi-field metrics
@@ -42,7 +43,7 @@ func TestStatsRaceUnderBatch(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for r := 0; r < rounds; r++ {
-				srv.HandleBatch(qs, 4)
+				srv.QueryBatch(context.Background(), qs, backend.WithWorkers(4))
 			}
 		}()
 	}

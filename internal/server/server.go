@@ -3,18 +3,16 @@
 // returns each result with its verification object serialized over the
 // wire. The backend is pluggable (IFMH-tree or signature mesh) so the
 // benchmark harness can compare them through one interface. Queries are
-// served one at a time through Handle or fanned out across a worker
-// pool through HandleBatch; either way cumulative metrics stay
-// consistent under concurrency.
+// served one at a time through Handle or through the unified query
+// plane (Query, QueryBatch, QueryStream — see backend.go); either way
+// cumulative metrics stay consistent under concurrency.
 package server
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/mesh"
@@ -307,56 +305,6 @@ func (s *Server) Handle(q query.Query) ([]byte, error) {
 	var ctr metrics.Counter
 	_, _, out, err := s.processOnce(q, &ctr)
 	return out, err
-}
-
-// HandleBatch processes a batch of queries across a bounded worker pool,
-// sized by workers (<= 0 means runtime.GOMAXPROCS(0)). Both returned
-// slices are parallel to qs: outs[i] holds the serialized answer for
-// qs[i] and errs[i] its failure, exactly as Handle would have produced
-// them — the backends answer from immutable state, so batched answers
-// are byte-identical to sequential ones. Metrics accumulate per query
-// under the server's lock, as if each query had been handled alone.
-//
-// Deprecated: use QueryBatch, the unified query plane's batch entry
-// point, which adds per-call options; or HandleBatchCtx when only
-// cancellation is needed. HandleBatch remains as a thin shim over
-// HandleBatchCtx with a background context.
-func (s *Server) HandleBatch(qs []query.Query, workers int) (outs [][]byte, errs []error) {
-	return s.HandleBatchCtx(context.Background(), qs, workers)
-}
-
-// HandleBatchCtx is HandleBatch under a caller context: the batch pool
-// stops claiming queries once ctx is done and every prevented index
-// reports ctx.Err().
-func (s *Server) HandleBatchCtx(ctx context.Context, qs []query.Query, workers int) (outs [][]byte, errs []error) {
-	outs, _, errs = s.HandleBatchShardsCtx(ctx, qs, workers)
-	return outs, errs
-}
-
-// HandleBatchShards is HandleBatch plus shard attribution: shards[i] is
-// the shard that answered qs[i], or -1 when the backend is unsharded,
-// the query was unroutable, or the owning shard refused it.
-//
-// Deprecated: use QueryBatch, which carries the attribution in
-// Answer.Shard; or HandleBatchShardsCtx when only cancellation is
-// needed. HandleBatchShards remains as a thin shim over
-// HandleBatchShardsCtx with a background context.
-func (s *Server) HandleBatchShards(qs []query.Query, workers int) (outs [][]byte, shards []int, errs []error) {
-	return s.HandleBatchShardsCtx(context.Background(), qs, workers)
-}
-
-// HandleBatchShardsCtx is HandleBatchShards under a caller context: the
-// batch pool stops claiming queries once ctx is done and every
-// prevented index reports ctx.Err() with shard -1.
-func (s *Server) HandleBatchShardsCtx(ctx context.Context, qs []query.Query, workers int) (outs [][]byte, shards []int, errs []error) {
-	answers, errs := s.QueryBatch(ctx, qs, backend.WithWorkers(workers))
-	outs = make([][]byte, len(qs))
-	shards = make([]int, len(qs))
-	for i := range answers {
-		outs[i] = answers[i].Raw
-		shards[i] = answers[i].Shard
-	}
-	return outs, shards, errs
 }
 
 // record folds one query's cost into the cumulative metrics; sh

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
@@ -105,28 +107,28 @@ func TestShardedBatchGrouping(t *testing.T) {
 	}
 	qs = append(qs, query.NewTopK(geometry.Point{dom.Hi[0] + 5}, 1)) // unroutable
 
-	outs, shards, errs := srv.HandleBatchShards(qs, 3)
+	answers, errs := srv.QueryBatch(context.Background(), qs, backend.WithWorkers(3))
 	seenShards := make(map[int]bool)
 	for i, q := range qs {
 		want, werr := set.Plan.Route(q.X)
 		if werr != nil {
-			if errs[i] == nil || shards[i] != -1 {
-				t.Fatalf("item %d: unroutable query got shard %d err %v", i, shards[i], errs[i])
+			if errs[i] == nil || answers[i].Shard != -1 {
+				t.Fatalf("item %d: unroutable query got shard %d err %v", i, answers[i].Shard, errs[i])
 			}
 			continue
 		}
 		if errs[i] != nil {
 			t.Fatalf("item %d failed: %v", i, errs[i])
 		}
-		if shards[i] != want {
-			t.Fatalf("item %d attributed to shard %d, routing says %d", i, shards[i], want)
+		if answers[i].Shard != want {
+			t.Fatalf("item %d attributed to shard %d, routing says %d", i, answers[i].Shard, want)
 		}
-		seenShards[shards[i]] = true
+		seenShards[answers[i].Shard] = true
 		single, err := srv.Handle(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(single, outs[i]) {
+		if !bytes.Equal(single, answers[i].Raw) {
 			t.Fatalf("item %d: batched answer differs from the single-query path", i)
 		}
 	}
@@ -149,13 +151,6 @@ func TestShardedBatchGrouping(t *testing.T) {
 		t.Errorf("ErrorCount = %d, want 1", srv.ErrorCount())
 	}
 
-	// HandleBatch must agree with HandleBatchShards minus attribution.
-	outs2, errs2 := srv.HandleBatch(qs, 0)
-	for i := range qs {
-		if (errs2[i] == nil) != (errs[i] == nil) || !bytes.Equal(outs2[i], outs[i]) {
-			t.Fatalf("item %d: HandleBatch disagrees with HandleBatchShards", i)
-		}
-	}
 }
 
 // TestUnshardedBatchShards: single-tree backends report every shard as
@@ -173,11 +168,11 @@ func TestUnshardedBatchShards(t *testing.T) {
 		t.Error("single-tree server reports shard stats")
 	}
 	qs := []query.Query{query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)}
-	_, shards, errs := srv.HandleBatchShards(qs, 0)
+	answers, errs := srv.QueryBatch(context.Background(), qs)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	if shards[0] != -1 {
-		t.Errorf("shard = %d, want -1", shards[0])
+	if answers[0].Shard != -1 {
+		t.Errorf("shard = %d, want -1", answers[0].Shard)
 	}
 }

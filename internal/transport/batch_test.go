@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -57,10 +58,8 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	ctx := context.Background()
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{
 		query.NewTopK(x, 3),
@@ -69,26 +68,23 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		query.NewRange(x, -2, 2),
 		query.NewKNN(x, 3, 0),
 	}
-	results, err := cli.QueryBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, errs := r.QueryBatch(ctx, qs, verify)
 	if len(results) != len(qs) {
 		t.Fatalf("got %d results for %d queries", len(results), len(qs))
 	}
-	for i, r := range results {
+	for i, res := range results {
 		if i == 2 {
-			if r.Err == nil {
+			if errs[i] == nil {
 				t.Error("out-of-domain query succeeded in batch")
 			}
 			continue
 		}
-		if r.Err != nil {
-			t.Errorf("query %d: %v", i, r.Err)
+		if errs[i] != nil {
+			t.Errorf("query %d: %v", i, errs[i])
 			continue
 		}
-		if qs[i].Kind != query.Range && len(r.Records) != 3 {
-			t.Errorf("query %d: got %d records", i, len(r.Records))
+		if qs[i].Kind != query.Range && len(res.Records) != 3 {
+			t.Errorf("query %d: got %d records", i, len(res.Records))
 		}
 	}
 
@@ -97,10 +93,11 @@ func TestHTTPBatchRoundTrip(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		recs, err := cli.Query(q)
+		ans, err := r.Query(ctx, q, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs := ans.Records
 		if len(recs) != len(results[i].Records) {
 			t.Errorf("query %d: batch returned %d records, sequential %d", i, len(results[i].Records), len(recs))
 		}
@@ -129,20 +126,16 @@ func TestHTTPBatchTamperingRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	cli, err := Dial(proxy.URL, proxy.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	qs := []query.Query{query.NewRange(x, -2, 2), query.NewTopK(x, 3)}
 	for trial := 0; trial < 10; trial++ {
-		results, err := cli.QueryBatch(qs)
-		if err != nil {
-			continue // the flipped bit broke the outer frame: also a rejection
-		}
-		// Every byte of the frame is load-bearing, so the flipped bit
-		// must take down at least one item.
-		if results[0].Err == nil && results[1].Err == nil {
+		// A flipped bit that breaks the outer frame fails every item as
+		// a transport error: also a rejection. Every byte of the frame
+		// is load-bearing, so the flipped bit must take down at least
+		// one item.
+		_, errs := r.QueryBatch(context.Background(), qs, verify)
+		if errs[0] == nil && errs[1] == nil {
 			t.Fatal("bit-flipped batch answer fully accepted")
 		}
 	}

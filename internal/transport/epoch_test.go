@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"context"
@@ -17,6 +17,7 @@ import (
 	"aqverify/internal/query"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -44,7 +45,7 @@ func epochFixture(t *testing.T) (*build.Result, *server.Server, *httptest.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewIFMHHandler(srv, res.Public)
+	h, err := transport.NewIFMHHandler(srv, res.Public)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func mutated(t *testing.T, prev *build.Result, i int) *build.Result {
 func TestEpochPinAndRefresh(t *testing.T) {
 	ctx := context.Background()
 	res, srv, ts, dom := epochFixture(t)
-	r, err := DialRemote(ts.URL, nil)
+	r, err := transport.DialRemote(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestEpochPinAndRefresh(t *testing.T) {
 	}
 
 	// /params serves the live epoch; /stats reports epoch and swaps.
-	var p Params
+	var p transport.Params
 	getJSON(t, ts.URL+"/params", &p)
 	if p.Epoch != 2 {
 		t.Errorf("/params epoch = %d, want 2", p.Epoch)
@@ -201,7 +202,7 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := NewIFMHHandler(srv, res.Set.Trees[i].Public())
+		h, err := transport.NewIFMHHandler(srv, res.Set.Trees[i].Public())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,18 +211,15 @@ func TestKProcessEpochRaceUnderSwap(t *testing.T) {
 		srvs[i] = srv
 		urls[i] = ts.URL
 	}
-	f, params, err := DialFanout(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, err := NewBackendHandler(f, params)
+	f, params := dialFront(t, urls)
+	fh, err := transport.NewBackendHandler(f, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := httptest.NewServer(fh)
 	t.Cleanup(front.Close)
 
-	r, err := DialRemote(front.URL, nil)
+	r, err := transport.DialRemote(front.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

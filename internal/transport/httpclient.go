@@ -5,19 +5,16 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 
-	"aqverify/internal/client"
 	"aqverify/internal/core"
 	"aqverify/internal/geometry"
 	"aqverify/internal/mesh"
 	"aqverify/internal/query"
-	"aqverify/internal/record"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
 )
@@ -30,17 +27,21 @@ const maxAnswerBytes = 64 << 20
 // truncation would fail the whole batch with an opaque parse error.
 const maxBatchAnswerBytes = 512 << 20
 
-// HTTPClient is a verifying data user over HTTP: it fetches the owner's
-// trust bundle once, then verifies every answer locally before returning
-// records. The HTTP connection is untrusted by construction — any
-// tampering en route fails verification exactly like a lying server.
-// Remote wraps it into the unified backend.Backend query plane.
+// HTTPClient is a data user's dialed session with one server: the
+// owner's trust bundle fetched once from /params (Public, MeshPublic),
+// the pinned publication epoch, and the raw query exchanges. It
+// verifies nothing itself — Remote wraps it into the unified
+// backend.Backend query plane, where WithVerify checks every answer
+// against Public(); a mesh server's raw answers are checked with
+// client.Client.Check against MeshPublic(). The HTTP connection is
+// untrusted by construction — any tampering en route fails
+// verification exactly like a lying server.
 type HTTPClient struct {
-	base   string
-	hc     *http.Client
-	cli    *client.Client
-	params Params
-	pub    *core.PublicParams // nil for mesh backends
+	base    string
+	hc      *http.Client
+	params  Params
+	pub     *core.PublicParams // nil for mesh backends
+	meshPub *mesh.PublicParams // nil for IFMH backends
 	// epoch pins the publication epoch the client verified /params
 	// against, compared to the epoch word of every batched or streamed
 	// answer: a mismatch is a typed staleness signal (the server swapped
@@ -48,14 +49,9 @@ type HTTPClient struct {
 	// failure. Refresh re-pins it; 0 disables the check (pre-epoch
 	// servers).
 	epoch atomic.Uint64
-	// noStream latches a discovered downgrade: the bundle advertised
-	// streaming but the route 404ed (e.g. a stripping proxy), so later
-	// calls skip the doomed probe and go straight to the buffered
-	// exchange.
-	noStream atomic.Bool
 }
 
-// Dial fetches /params from the base URL and prepares a verifying client.
+// Dial fetches /params from the base URL and pins its trust bundle.
 func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -91,16 +87,12 @@ func Dial(base string, hc *http.Client) (*HTTPClient, error) {
 		if p.Backend == "ifmh-multi" {
 			mode = core.MultiSignature
 		}
-		pub := core.PublicParams{
+		out.pub = &core.PublicParams{
 			Verifier: ver, Template: tpl, Mode: mode, SemTol: p.SemTol,
 			Epoch: p.Epoch,
 		}
-		out.pub = &pub
-		out.cli = client.NewIFMH(pub)
 	case "mesh":
-		out.cli = client.NewMesh(mesh.PublicParams{
-			Verifier: ver, Template: tpl, SemTol: p.SemTol,
-		})
+		out.meshPub = &mesh.PublicParams{Verifier: ver, Template: tpl, SemTol: p.SemTol}
 	default:
 		return nil, fmt.Errorf("transport: unknown backend %q", p.Backend)
 	}
@@ -117,12 +109,6 @@ func (c *HTTPClient) Base() string { return c.base }
 // Shards returns the server's advertised domain-shard count (0 = single
 // tree). Verification is identical either way.
 func (c *HTTPClient) Shards() int { return c.params.Shards }
-
-// Streams reports whether the server advertises POST /query/stream, the
-// pipelined answer transport, and has not since proven the route
-// missing. Servers that predate it do not advertise, and clients fall
-// back to the buffered batch exchange.
-func (c *HTTPClient) Streams() bool { return c.params.Stream && !c.noStream.Load() }
 
 // Params returns the server's advertised trust bundle as fetched at
 // dial time. The live epoch is Epoch(), which Refresh re-pins.
@@ -197,26 +183,14 @@ func (c *HTTPClient) Public() (core.PublicParams, bool) {
 	return *c.pub, true
 }
 
-// Query sends q, verifies the answer, and returns the records. Every
-// failure — network, malformed bytes, failed verification — is an error;
-// no unverified record is ever returned.
-//
-// Deprecated: use Remote, the unified query plane over this client,
-// whose Query carries a context and per-call options; or QueryCtx when
-// only cancellation is needed. This entry point remains as a thin shim
-// over QueryCtx with a background context.
-func (c *HTTPClient) Query(q query.Query) ([]record.Record, error) {
-	return c.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx is Query under a caller context: a canceled or expired ctx
-// aborts the HTTP exchange and surfaces its error.
-func (c *HTTPClient) QueryCtx(ctx context.Context, q query.Query) ([]record.Record, error) {
-	raw, err := c.rawQuery(ctx, q)
-	if err != nil {
-		return nil, err
+// MeshPublic returns the signature-mesh verification parameters derived
+// from the advertised bundle (zero for IFMH backends): the bundle a
+// client.Client checks a mesh server's raw answers against.
+func (c *HTTPClient) MeshPublic() (mesh.PublicParams, bool) {
+	if c.meshPub == nil {
+		return mesh.PublicParams{}, false
 	}
-	return c.cli.Check(q, raw)
+	return *c.meshPub, true
 }
 
 // rawQuery posts one query and returns the serialized answer bytes,
@@ -247,17 +221,11 @@ func (c *HTTPClient) rawBatch(ctx context.Context, qs []query.Query) ([]wire.Bat
 	return items, nil
 }
 
-// errStreamUnsupported reports a server that does not serve the
-// pipelined POST /query/stream route; callers fall back to the buffered
-// batch exchange.
-var errStreamUnsupported = errors.New("transport: server does not stream")
-
 // openStream posts a query batch to POST /query/stream and hands back
 // the incremental frame decoder over the still-open response body, so
 // items can be consumed as the server completes them. The caller owns
 // the body and must close it — closing early is the honest way to break
-// the stream, cancelling the server's in-flight work. A 404/405 from a
-// server that predates the route maps to errStreamUnsupported.
+// the stream, cancelling the server's in-flight work.
 func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.StreamReader, io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query/stream",
 		bytes.NewReader(wire.EncodeQueryBatch(qs)))
@@ -268,11 +236,6 @@ func (c *HTTPClient) openStream(ctx context.Context, qs []query.Query) (*wire.St
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: post /query/stream: %w", err)
-	}
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		resp.Body.Close()
-		c.noStream.Store(true) // don't pay the doomed probe again
-		return nil, nil, errStreamUnsupported
 	}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
@@ -326,52 +289,4 @@ func (c *HTTPClient) post(ctx context.Context, path string, reqBody []byte, limi
 		return nil, fmt.Errorf("transport: server returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 	return body, nil
-}
-
-// QueryBatch sends all queries in one POST /query/batch exchange and
-// verifies every answer locally, fanning the verification out across the
-// CPUs. The result slice is parallel to qs: a per-item Err reports that
-// query's server refusal or failed verification without aborting the
-// rest. The returned error covers transport-level failures only —
-// network errors, non-200 statuses, or a response frame that does not
-// parse.
-//
-// Deprecated: use Remote, whose QueryBatch carries a context and
-// per-call options; or QueryBatchCtx when only cancellation is needed.
-// This entry point remains as a thin shim over QueryBatchCtx with a
-// background context.
-func (c *HTTPClient) QueryBatch(qs []query.Query) ([]client.BatchResult, error) {
-	return c.QueryBatchCtx(context.Background(), qs)
-}
-
-// QueryBatchCtx is QueryBatch under a caller context: a canceled or
-// expired ctx aborts the HTTP exchange as one transport-level error, so
-// no unverified frame is ever handed to the verification fan-out.
-func (c *HTTPClient) QueryBatchCtx(ctx context.Context, qs []query.Query) ([]client.BatchResult, error) {
-	items, err := c.rawBatch(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]client.BatchResult, len(qs))
-	raws := make([][]byte, len(qs))
-	for i, it := range items {
-		results[i].Shard = it.Shard
-		if it.Status == wire.StatusRefused {
-			results[i].Err = fmt.Errorf("transport: server refused query %d: %s", i, it.Err)
-			continue
-		}
-		raws[i] = it.Answer
-	}
-	for i, r := range c.cli.CheckBatch(qs, raws, 0) {
-		if results[i].Err == nil {
-			results[i].Records, results[i].Err = r.Records, r.Err
-		}
-	}
-	return results, nil
-}
-
-// Stats returns the client's cumulative verification metrics.
-func (c *HTTPClient) Stats() interface{ String() string } {
-	st := c.cli.Stats()
-	return &st
 }

@@ -1,14 +1,19 @@
-package transport
+package transport_test
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"aqverify/internal/backend"
 	"aqverify/internal/core"
+	"aqverify/internal/front"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
@@ -17,6 +22,7 @@ import (
 	"aqverify/internal/server"
 	"aqverify/internal/shard"
 	"aqverify/internal/sig"
+	"aqverify/internal/transport"
 	"aqverify/internal/wire"
 	"aqverify/internal/workload"
 )
@@ -34,7 +40,7 @@ func startShardProcess(t *testing.T, tbl record.Table, p core.Params, plan shard
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewIFMHHandler(srv, tree.Public())
+	h, err := transport.NewIFMHHandler(srv, tree.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +49,43 @@ func startShardProcess(t *testing.T, tbl record.Table, p core.Params, plan shard
 	return ts
 }
 
+// dialFront composes one single-replica shard group per URL the way
+// vqfront does, with the background prober off; the Frontend closes
+// with the test.
+func dialFront(t *testing.T, urls []string) (*front.Frontend, transport.Params) {
+	t.Helper()
+	groups := make([][]string, len(urls))
+	for i, u := range urls {
+		groups[i] = []string{u}
+	}
+	f, params, err := front.DialFront(groups, nil, front.Options{ProbeEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f, params
+}
+
+// dialVerifying dials base as a Remote and returns it with the option
+// that verifies every answer against the IFMH bundle the server
+// published on /params.
+func dialVerifying(t *testing.T, base string) (*transport.Remote, backend.Option) {
+	t.Helper()
+	r, err := transport.DialRemote(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, ok := r.Client().Public()
+	if !ok {
+		t.Fatalf("%s publishes no IFMH bundle", base)
+	}
+	return r, backend.WithVerify(pub)
+}
+
 // kProcessFixture stands up the whole deployment: K shard processes, a
-// vqfront-equivalent front-end (DialFanout + NewBackendHandler) on its
-// own httptest server, and the single-tree baseline.
-func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Server, f *backend.Fanout, single *core.Tree, dom geometry.Box) {
+// vqfront-equivalent front-end (front.DialFront + NewBackendHandler) on
+// its own httptest server, and the single-tree baseline.
+func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (fe *httptest.Server, f *front.Frontend, single *core.Tree, dom geometry.Box) {
 	t.Helper()
 	tbl, dom, err := workload.Lines(workload.LinesConfig{N: n, Seed: 1})
 	if err != nil {
@@ -75,25 +114,22 @@ func kProcessFixture(t *testing.T, n, k int, mode core.Mode) (front *httptest.Se
 	for i, j := 0, len(urls)-1; i < j; i, j = i+1, j-1 {
 		urls[i], urls[j] = urls[j], urls[i]
 	}
-	f, params, err := DialFanout(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, params := dialFront(t, urls)
 	if f.NumShards() != k {
 		t.Fatalf("front-end composed %d shards, want %d", f.NumShards(), k)
 	}
-	h, err := NewBackendHandler(f, params)
+	h, err := transport.NewBackendHandler(f, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front = httptest.NewServer(h)
-	t.Cleanup(front.Close)
+	fe = httptest.NewServer(h)
+	t.Cleanup(fe.Close)
 
 	single, err = core.Build(tbl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return front, f, single, dom
+	return fe, f, single, dom
 }
 
 // kProcessQueries mixes every query kind across the domain with queries
@@ -133,26 +169,23 @@ func TestKProcessIdentity(t *testing.T) {
 		qs := kProcessQueries(dom, f.Plan().Cuts)
 
 		// The verifying client sees the front-end as one server.
-		cli, err := Dial(front.URL, nil)
+		cli, err := transport.DialRemote(front.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cli.Shards() != 3 {
-			t.Errorf("%v: front-end advertises %d shards, want 3", mode, cli.Shards())
+		if cli.Client().Shards() != 3 {
+			t.Errorf("%v: front-end advertises %d shards, want 3", mode, cli.Client().Shards())
 		}
-		pub, ok := cli.Public()
+		pub, ok := cli.Client().Public()
 		if !ok {
 			t.Fatal("front-end params are not IFMH")
 		}
-		results, err := cli.QueryBatch(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results, rerrs := cli.QueryBatch(context.Background(), qs, backend.WithVerify(pub))
 
 		for i, q := range qs {
 			want, werr := single.Process(q, &metrics.Counter{})
-			if (werr == nil) != (results[i].Err == nil) {
-				t.Fatalf("%v query %d: single err=%v, k-process err=%v", mode, i, werr, results[i].Err)
+			if (werr == nil) != (rerrs[i] == nil) {
+				t.Fatalf("%v query %d: single err=%v, k-process err=%v", mode, i, werr, rerrs[i])
 			}
 			if werr != nil {
 				continue
@@ -181,7 +214,7 @@ func TestKProcessIdentity(t *testing.T) {
 		}
 
 		// Window identity down to the VO layout, via the raw plane.
-		remote, err := DialRemote(front.URL, nil)
+		remote, err := transport.DialRemote(front.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,18 +274,16 @@ func TestKProcessIdentity(t *testing.T) {
 // the front-end and checks the front-end's own /stats tally.
 func TestKProcessSingleQueryAndStats(t *testing.T) {
 	front, f, single, dom := kProcessFixture(t, 80, 2, core.MultiSignature)
-	cli, err := Dial(front.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli, verify := dialVerifying(t, front.URL)
 	probe := append([]float64{(dom.Lo[0] + dom.Hi[0]) / 2}, f.Plan().Cuts...)
 	served := 0
 	for _, x := range probe {
 		q := query.NewTopK(geometry.Point{x}, 3)
-		recs, err := cli.Query(q)
+		ans, err := cli.Query(context.Background(), q, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs := ans.Records
 		served++
 		want, err := single.Process(q, &metrics.Counter{})
 		if err != nil {
@@ -263,7 +294,7 @@ func TestKProcessSingleQueryAndStats(t *testing.T) {
 		}
 	}
 	// An unroutable query is refused by the front-end.
-	if _, err := cli.Query(query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1)); err == nil {
+	if _, err := cli.Query(context.Background(), query.NewTopK(geometry.Point{dom.Hi[0] + 1}, 1), verify); err == nil {
 		t.Fatal("out-of-domain query answered")
 	}
 
@@ -297,5 +328,140 @@ func TestKProcessSingleQueryAndStats(t *testing.T) {
 	}
 	if sum != served {
 		t.Errorf("per-shard tallies sum to %d, want %d", sum, served)
+	}
+}
+
+// killAfterWrites tears a response down after max successful writes,
+// emulating a server process dying mid-stream: the frames written so
+// far reach the client, the rest of the stream never does, and the
+// response body ends without a trailer.
+type killAfterWrites struct {
+	http.ResponseWriter
+	writes, max int
+}
+
+func (kw *killAfterWrites) Write(b []byte) (int, error) {
+	if kw.writes >= kw.max {
+		return 0, errors.New("server died mid-stream")
+	}
+	kw.writes++
+	return kw.ResponseWriter.Write(b)
+}
+
+func (kw *killAfterWrites) Flush() {
+	if f, ok := kw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// TestFanoutStreamMidServerDeath kills one shard server mid-stream and
+// pins the blast radius: exactly that shard's undelivered items fail
+// (its delivered ones and the whole other shard survive), every index
+// still yields exactly once, and the fanout's merge goroutines all
+// exit.
+func TestFanoutStreamMidServerDeath(t *testing.T) {
+	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 90, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{
+		Mode: core.MultiSignature, Signer: signer, Domain: dom,
+		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 4,
+	}
+	plan, err := shard.NewPlan(dom, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, 2)
+	for i := 0; i < 2; i++ {
+		tree, err := shard.BuildOne(tbl, p, plan, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.IFMH{Tree: tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := transport.NewIFMHHandler(srv, tree.Public())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hh http.Handler = h
+		if i == 1 {
+			// Shard 1 dies after the stream header plus one item frame.
+			hh = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/query/stream" {
+					h.ServeHTTP(&killAfterWrites{ResponseWriter: w, max: 2}, r)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(hh)
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	f, _ := dialFront(t, urls)
+
+	qs := transport.StreamBatch(dom, 32)
+	owner := make([]int, len(qs))
+	perShard := make([]int, 2)
+	for i, q := range qs {
+		owner[i] = -1
+		if sh, err := f.Plan().Route(q.X); err == nil {
+			owner[i] = sh
+			perShard[sh]++
+		}
+	}
+	if perShard[0] == 0 || perShard[1] < 2 {
+		t.Fatalf("bad workload split %v: need both shards hit, shard 1 at least twice", perShard)
+	}
+
+	before := runtime.NumGoroutine()
+	const rounds = 8
+	for round := 0; round < rounds; round++ {
+		answers, errs := transport.CollectStream(t, len(qs), f.QueryStream(context.Background(), qs))
+		dead := 0
+		for i := range qs {
+			switch owner[i] {
+			case -1: // unroutable by construction
+				if errs[i] == nil {
+					t.Fatalf("round %d: out-of-domain query %d succeeded", round, i)
+				}
+			case 0: // the healthy shard: everything arrives
+				if errs[i] != nil {
+					t.Fatalf("round %d: healthy-shard query %d failed: %v", round, i, errs[i])
+				}
+				if answers[i].Shard != 0 {
+					t.Fatalf("round %d: query %d attributed to shard %d", round, i, answers[i].Shard)
+				}
+			case 1: // the dying shard: one delivered item, the rest fail as a stream error
+				if errs[i] != nil {
+					if !strings.Contains(errs[i].Error(), "stream") {
+						t.Fatalf("round %d: query %d failed outside the stream: %v", round, i, errs[i])
+					}
+					dead++
+				} else if answers[i].Shard != 1 {
+					t.Fatalf("round %d: query %d attributed to shard %d", round, i, answers[i].Shard)
+				}
+			}
+		}
+		if want := perShard[1] - 1; dead != want {
+			t.Fatalf("round %d: %d of shard 1's %d items failed, want exactly the %d undelivered",
+				round, dead, perShard[1], want)
+		}
+	}
+	// A per-round goroutine leak in the merge would accumulate across
+	// the rounds; allow a little slack for idle HTTP connections.
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) && runtime.NumGoroutine() > before+6 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before+6 {
+		t.Errorf("goroutines grew from %d to %d across %d failed streams", before, now, rounds)
 	}
 }

@@ -27,15 +27,13 @@ import (
 // POST /query/stream exchange and yields each item — verified as it
 // lands, under WithVerify, across the WithWorkers pool when one is
 // requested — the moment its frame arrives, in completion order.
-// Against a server that predates the route (no /params capability, or
-// a 404) it falls back to the buffered batch exchange.
 type Remote struct {
 	c *HTTPClient
 	// relay disables pin enforcement: a front-end's child remote
 	// forwards every answer with its epoch stamp intact — the end
 	// client, not the relay, holds the pin — and tracks the newest
 	// epoch seen so the composed /params stays current across the
-	// shard's swaps. Set by DialFanout.
+	// shard's swaps. Set through Relay by front.DialFront.
 	relay bool
 }
 
@@ -62,8 +60,8 @@ func (r *Remote) Client() *HTTPClient { return r.c }
 // Relay switches the remote into relay mode: answers forward with their
 // epoch stamps intact (the end client holds the pin, not this hop) and
 // the newest epoch seen is tracked for the composed /params. Called by
-// DialFanout and front.DialFront at composition time, before the remote
-// serves traffic; it is not synchronized for later use.
+// front.DialFront at composition time, before the remote serves
+// traffic; it is not synchronized for later use.
 func (r *Remote) Relay() { r.relay = true }
 
 // RemoteError wraps a transport-level failure — network error, non-200
@@ -177,25 +175,16 @@ func (r *Remote) QueryBatch(ctx context.Context, qs []query.Query, opts ...backe
 // and cancels the request, which cancels the server's in-flight work. A
 // mid-stream transport failure (the server died, the frame stream is
 // truncated or malformed) fails exactly the items that had not yet been
-// delivered. Servers that predate the route — no /params capability, or
-// a 404/405 on the post — are answered through the buffered batch
-// exchange instead, yielding in index order.
+// delivered; a failure to open the stream (including a server without
+// the route) fails every item with a *RemoteError.
 func (r *Remote) QueryStream(ctx context.Context, qs []query.Query, opts ...backend.Option) iter.Seq2[int, backend.BatchResult] {
 	return func(yield func(int, backend.BatchResult) bool) {
 		if len(qs) == 0 {
 			return
 		}
-		if !r.c.Streams() {
-			r.streamBuffered(ctx, qs, opts, yield)
-			return
-		}
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		sr, body, err := r.c.openStream(ctx, qs)
-		if errors.Is(err, errStreamUnsupported) {
-			r.streamBuffered(ctx, qs, opts, yield)
-			return
-		}
 		delivered := make([]bool, len(qs))
 		if err != nil {
 			failUndelivered(delivered, r.wrapErr(err), yield)
@@ -329,18 +318,6 @@ func (r *Remote) streamVerifyPool(ctx context.Context, cancel context.CancelFunc
 	}
 	if rerr != nil {
 		failUndelivered(delivered, rerr, yield)
-	}
-}
-
-// streamBuffered is the fallback stream: one buffered batch exchange,
-// yielded in index order — exactly what QueryStream did before the
-// pipelined transport existed.
-func (r *Remote) streamBuffered(ctx context.Context, qs []query.Query, opts []backend.Option, yield func(int, backend.BatchResult) bool) {
-	answers, errs := r.QueryBatch(ctx, qs, opts...)
-	for i := range qs {
-		if !yield(i, backend.BatchResult{Answer: answers[i], Err: errs[i]}) {
-			return
-		}
 	}
 }
 

@@ -19,15 +19,11 @@ import (
 
 	"aqverify/internal/backend"
 	"aqverify/internal/core"
-	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/metrics"
 	"aqverify/internal/query"
-	"aqverify/internal/server"
-	"aqverify/internal/shard"
 	"aqverify/internal/sig"
 	"aqverify/internal/wire"
-	"aqverify/internal/workload"
 )
 
 // routeCounter wraps a handler and counts requests per path, so tests
@@ -116,9 +112,6 @@ func TestRemoteStreamIdentity(t *testing.T) {
 	remote, err := DialRemote(ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !remote.Client().Streams() {
-		t.Fatal("handler does not advertise the stream capability")
 	}
 	qs := streamBatch(dom, 24)
 	ctx := context.Background()
@@ -381,211 +374,44 @@ func TestStreamEarlyBreakCancelsServer(t *testing.T) {
 	}
 }
 
-// killAfterWrites tears a response down after max successful writes,
-// emulating a server process dying mid-stream: the frames written so
-// far reach the client, the rest of the stream never does, and the
-// response body ends without a trailer.
-type killAfterWrites struct {
-	http.ResponseWriter
-	writes, max int
-}
-
-func (kw *killAfterWrites) Write(b []byte) (int, error) {
-	if kw.writes >= kw.max {
-		return 0, errors.New("server died mid-stream")
-	}
-	kw.writes++
-	return kw.ResponseWriter.Write(b)
-}
-
-func (kw *killAfterWrites) Flush() {
-	if f, ok := kw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// TestFanoutStreamMidServerDeath kills one shard server mid-stream and
-// pins the blast radius: exactly that shard's undelivered items fail
-// (its delivered ones and the whole other shard survive), every index
-// still yields exactly once, and the fanout's merge goroutines all
-// exit.
-func TestFanoutStreamMidServerDeath(t *testing.T) {
-	tbl, dom, err := workload.Lines(workload.LinesConfig{N: 90, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := sig.NewSigner(sig.Ed25519, sig.Options{Rand: sig.DeterministicRand(9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.Params{
-		Mode: core.MultiSignature, Signer: signer, Domain: dom,
-		Template: funcs.AffineLine(0, 1), Shuffle: true, Seed: 4,
-	}
-	plan, err := shard.NewPlan(dom, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		tree, err := shard.BuildOne(tbl, p, plan, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(server.IFMH{Tree: tree})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := NewIFMHHandler(srv, tree.Public())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hh http.Handler = h
-		if i == 1 {
-			// Shard 1 dies after the stream header plus one item frame.
-			hh = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/query/stream" {
-					h.ServeHTTP(&killAfterWrites{ResponseWriter: w, max: 2}, r)
-					return
-				}
-				h.ServeHTTP(w, r)
-			})
-		}
-		ts := httptest.NewServer(hh)
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-	}
-	f, _, err := DialFanout(urls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	qs := streamBatch(dom, 32)
-	owner := make([]int, len(qs))
-	perShard := make([]int, 2)
-	for i, q := range qs {
-		owner[i] = -1
-		if sh, err := f.Plan().Route(q.X); err == nil {
-			owner[i] = sh
-			perShard[sh]++
-		}
-	}
-	if perShard[0] == 0 || perShard[1] < 2 {
-		t.Fatalf("bad workload split %v: need both shards hit, shard 1 at least twice", perShard)
-	}
-
-	before := runtime.NumGoroutine()
-	const rounds = 8
-	for round := 0; round < rounds; round++ {
-		answers, errs := collectStream(t, len(qs), f.QueryStream(context.Background(), qs))
-		dead := 0
-		for i := range qs {
-			switch owner[i] {
-			case -1: // unroutable by construction
-				if errs[i] == nil {
-					t.Fatalf("round %d: out-of-domain query %d succeeded", round, i)
-				}
-			case 0: // the healthy shard: everything arrives
-				if errs[i] != nil {
-					t.Fatalf("round %d: healthy-shard query %d failed: %v", round, i, errs[i])
-				}
-				if answers[i].Shard != 0 {
-					t.Fatalf("round %d: query %d attributed to shard %d", round, i, answers[i].Shard)
-				}
-			case 1: // the dying shard: one delivered item, the rest fail as a stream error
-				if errs[i] != nil {
-					if !strings.Contains(errs[i].Error(), "stream") {
-						t.Fatalf("round %d: query %d failed outside the stream: %v", round, i, errs[i])
-					}
-					dead++
-				} else if answers[i].Shard != 1 {
-					t.Fatalf("round %d: query %d attributed to shard %d", round, i, answers[i].Shard)
-				}
-			}
-		}
-		if want := perShard[1] - 1; dead != want {
-			t.Fatalf("round %d: %d of shard 1's %d items failed, want exactly the %d undelivered",
-				round, dead, perShard[1], want)
-		}
-	}
-	// A per-round goroutine leak in the merge would accumulate across
-	// the rounds; allow a little slack for idle HTTP connections.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > before+6 {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > before+6 {
-		t.Errorf("goroutines grew from %d to %d across %d failed streams", before, now, rounds)
-	}
-}
-
-// TestStreamFallbackToBatch pins both downgrade paths to old servers:
-// a trust bundle without the stream capability never touches the
-// route, and an advertised-but-missing route (404) falls back after
-// one probe — either way the results match the buffered exchange.
+// TestStreamFallbackToBatch pins that a stream has no downgrade to
+// the buffered exchange: against a server whose POST /query/stream is
+// a 404, every index yields a *RemoteError naming that server, after
+// exactly one POST — no retry through POST /query/batch.
 func TestStreamFallbackToBatch(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := streamBatch(dom, 12)
-	ctx := context.Background()
-
-	check := func(t *testing.T, remote *Remote, rc *routeCounter, wantProbe int) {
-		t.Helper()
-		wantAns, wantErrs := remote.QueryBatch(ctx, qs, backend.WithVerify(pub))
-		gotAns, gotErrs := collectStream(t, len(qs), remote.QueryStream(ctx, qs, backend.WithVerify(pub)))
-		for i := range qs {
-			if (wantErrs[i] == nil) != (gotErrs[i] == nil) {
-				t.Fatalf("query %d: batch err=%v, fallback err=%v", i, wantErrs[i], gotErrs[i])
-			}
-			if wantErrs[i] == nil && string(gotAns[i].Raw) != string(wantAns[i].Raw) {
-				t.Fatalf("query %d: fallback bytes differ", i)
-			}
-		}
-		if got := rc.count("/query/stream"); got != wantProbe {
-			t.Errorf("POST /query/stream hit %d times, want %d", got, wantProbe)
-		}
-		if rc.count("/query/batch") < 2 {
-			t.Errorf("buffered fallback never used POST /query/batch")
-		}
-	}
-
-	t.Run("no capability", func(t *testing.T) {
-		rc := newRouteCounter(h)
-		ts := httptest.NewServer(rc)
-		defer ts.Close()
-		remote, err := DialRemote(ts.URL, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An old server's /params simply lacks the field.
-		remote.Client().params.Stream = false
-		check(t, remote, rc, 0)
-	})
 
 	t.Run("route missing", func(t *testing.T) {
-		// The bundle advertises streaming but the route 404s (e.g. a
-		// stripping proxy): the client probes once, then downgrades.
-		rc := newRouteCounter(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var posts atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				posts.Add(1)
+			}
 			if r.URL.Path == "/query/stream" {
 				http.NotFound(w, r)
 				return
 			}
 			h.ServeHTTP(w, r)
 		}))
-		ts := httptest.NewServer(rc)
 		defer ts.Close()
 		remote, err := DialRemote(ts.URL, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, remote, rc, 1)
-		// The downgrade latches: later streams skip the doomed probe.
-		collectStream(t, len(qs), remote.QueryStream(ctx, qs))
-		if got := rc.count("/query/stream"); got != 1 {
-			t.Errorf("downgrade not cached: POST /query/stream hit %d times, want 1", got)
+		qs := streamBatch(dom, 12)
+		_, errs := collectStream(t, len(qs), remote.QueryStream(context.Background(), qs, backend.WithVerify(pub)))
+		for i, err := range errs {
+			var re *RemoteError
+			if !errors.As(err, &re) || re.URL != ts.URL {
+				t.Fatalf("query %d: err = %v, want a *RemoteError naming %s", i, err, ts.URL)
+			}
+		}
+		if n := posts.Load(); n != 1 {
+			t.Errorf("server saw %d POSTs, want exactly the one POST /query/stream", n)
 		}
 	})
 }
@@ -633,10 +459,10 @@ func TestQueryOversizeRequest(t *testing.T) {
 	}
 }
 
-// TestClientCtxShims pins the cancellation satellite: the deprecated
-// no-context entry points now thread a caller context through their
-// ...Ctx variants, so legacy call shapes can finally cancel.
-func TestClientCtxShims(t *testing.T) {
+// TestRemoteCanceledContext: a canceled caller context aborts the HTTP
+// exchange of Remote.Query and Remote.QueryBatch and surfaces as
+// context.Canceled, while a live context answers the same queries.
+func TestRemoteCanceledContext(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
 	if err != nil {
@@ -644,27 +470,22 @@ func TestClientCtxShims(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	cli, err := Dial(ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, ts.URL, nil)
 	q := query.NewTopK(geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cli.QueryCtx(ctx, q); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryCtx on a canceled context: %v, want context.Canceled", err)
+	if _, err := r.Query(ctx, q, verify); !errors.Is(err, context.Canceled) {
+		t.Errorf("Query on a canceled context: %v, want context.Canceled", err)
 	}
-	if _, err := cli.QueryBatchCtx(ctx, []query.Query{q}); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryBatchCtx on a canceled context: %v, want context.Canceled", err)
+	if _, errs := r.QueryBatch(ctx, []query.Query{q}, verify); !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("QueryBatch on a canceled context: %v, want context.Canceled", errs[0])
 	}
 
-	// The live paths still work.
-	if recs, err := cli.QueryCtx(context.Background(), q); err != nil || len(recs) == 0 {
-		t.Fatalf("live QueryCtx: recs=%d err=%v", len(recs), err)
+	if ans, err := r.Query(context.Background(), q, verify); err != nil || len(ans.Records) == 0 {
+		t.Fatalf("live Query: recs=%d err=%v", len(ans.Records), err)
 	}
-	results, err := cli.QueryBatchCtx(context.Background(), []query.Query{q})
-	if err != nil || results[0].Err != nil {
-		t.Fatalf("live QueryBatchCtx: err=%v item=%v", err, results)
+	if answers, errs := r.QueryBatch(context.Background(), []query.Query{q}, verify); errs[0] != nil || len(answers[0].Records) == 0 {
+		t.Fatalf("live QueryBatch: recs=%d err=%v", len(answers[0].Records), errs[0])
 	}
 }

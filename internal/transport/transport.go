@@ -1,8 +1,11 @@
 // Package transport puts the outsourcing protocol on the network: an
 // http.Handler exposing a query backend's endpoints plus the data
-// owner's published parameters, and HTTP clients that fetch, parse and
-// verify answers. The data plane is the deterministic binary wire
-// codec; the control plane (/params, /stats) is JSON.
+// owner's published parameters, and the data user's side of the wire —
+// HTTPClient, the dialed session holding the trust bundle and epoch
+// pin, and Remote, which lifts it into the unified backend.Backend
+// query plane (backend.WithVerify checks every answer against the
+// bundle). The data plane is the deterministic binary wire codec; the
+// control plane (/params, /stats) is JSON.
 //
 // Endpoints:
 //
@@ -14,7 +17,7 @@
 //
 // The handler serves any backend.Backend — the metrics-keeping
 // in-process server, one shard's tree of a multi-process deployment, or
-// a backend.Fanout composing K remote shard servers (cmd/vqfront). The
+// a front.Frontend composing K remote shard servers (cmd/vqfront). The
 // batch endpoint carries many queries in one length-prefixed frame
 // (see wire.EncodeQueryBatch) and answers them concurrently on the
 // server; each item of the response is either that query's answer bytes
@@ -24,13 +27,14 @@
 // the backend's QueryStream yields them, closed by a trailer that makes
 // truncation detectable, so the client sees the first answer before the
 // last one is computed and a client disconnect cancels the in-flight
-// work through the request context. Against a domain-sharded server,
-// batch items are grouped per shard before dispatch and each response
-// item carries the answering shard's id (docs/WIRE.md specifies the
-// byte layouts); /params advertises the shard count, the serving domain
-// and the stream capability, and /stats the per-shard tallies. Routes
-// are registered with Go 1.22 method patterns, so a wrong-method
-// request is a 405, not a 404.
+// work through the request context. Every handler serves the stream
+// route, and Remote.QueryStream always uses it. Against a
+// domain-sharded server, batch items are grouped per shard before
+// dispatch and each response item carries the answering shard's id
+// (docs/WIRE.md specifies the byte layouts); /params advertises the
+// shard count and the serving domain, and /stats the per-shard tallies.
+// Routes are registered with Go 1.22 method patterns, so a
+// wrong-method request is a 405, not a 404.
 package transport
 
 import (
@@ -75,10 +79,6 @@ type Params struct {
 	// deployment — that shard's sub-box. A routing front-end (vqfront)
 	// reconstructs the shard plan from its backends' domains.
 	Domain *BoxJSON `json:"domain,omitempty"`
-	// Stream advertises POST /query/stream, the pipelined answer
-	// transport. Absent on servers that predate it; clients fall back
-	// to the buffered batch exchange.
-	Stream bool `json:"stream,omitempty"`
 	// Epoch advertises the serving publication epoch: 1 for a fresh
 	// outsourcing, bumped by every mutation batch the owner applies and
 	// the server swaps in. Absent (0) on pre-epoch backends — the mesh
@@ -90,9 +90,9 @@ type Params struct {
 	// Artifact advertises the hex content hash of the on-disk artifact
 	// this server serves from (or saved at boot) — the manifest's sealed
 	// self-hash, one value for a whole K-shard set. Absent on servers
-	// that built in memory without -save. DialFanout compares nonempty
-	// hashes across a multi-process deployment and refuses a mix of
-	// artifacts as an *ArtifactMismatchError.
+	// that built in memory without -save. front.DialFront compares
+	// nonempty hashes across a multi-process deployment and refuses a
+	// mix of artifacts as an *ArtifactMismatchError.
 	Artifact string `json:"artifact,omitempty"`
 	// Provenance says how the serving bundle came to be: "built" (fresh
 	// build.Outsource at boot) or "loaded" (reconstructed from an
@@ -247,7 +247,6 @@ func NewBackendHandler(b backend.Backend, p Params) (*Handler, error) {
 	if p.Backend == "" {
 		p.Backend = b.Name()
 	}
-	p.Stream = true // the handler always serves the pipelined route
 	h := &Handler{b: b, params: p, mux: http.NewServeMux()}
 	if st, ok := b.(statser); ok {
 		h.stats = st

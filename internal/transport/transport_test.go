@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -8,14 +9,17 @@ import (
 	"strings"
 	"testing"
 
+	"aqverify/internal/backend"
 	"aqverify/internal/core"
 	"aqverify/internal/funcs"
 	"aqverify/internal/geometry"
 	"aqverify/internal/mesh"
+	"aqverify/internal/metrics"
 	"aqverify/internal/query"
 	"aqverify/internal/record"
 	"aqverify/internal/server"
 	"aqverify/internal/sig"
+	"aqverify/internal/wire"
 )
 
 func fixtures(t *testing.T) (*server.Server, core.PublicParams, *server.Server, mesh.PublicParams, geometry.Box) {
@@ -57,6 +61,22 @@ func fixtures(t *testing.T) (*server.Server, core.PublicParams, *server.Server, 
 	return srv, tree.Public(), msrv, m.Public(), dom
 }
 
+// dialVerifying dials base as a Remote and returns it with the option
+// that verifies every answer against the IFMH bundle the server
+// published on /params — the data user's whole trust anchor.
+func dialVerifying(t *testing.T, base string, hc *http.Client) (*Remote, backend.Option) {
+	t.Helper()
+	r, err := DialRemote(base, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, ok := r.Client().Public()
+	if !ok {
+		t.Fatalf("%s publishes no IFMH bundle", base)
+	}
+	return r, backend.WithVerify(pub)
+}
+
 func TestHTTPRoundTripIFMH(t *testing.T) {
 	srv, pub, _, _, dom := fixtures(t)
 	h, err := NewIFMHHandler(srv, pub)
@@ -66,13 +86,11 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if r.Client().Backend() != "ifmh-multi" {
+		t.Errorf("backend = %q", r.Client().Backend())
 	}
-	if cli.Backend() != "ifmh-multi" {
-		t.Errorf("backend = %q", cli.Backend())
-	}
+	var ctr metrics.Counter
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for _, q := range []query.Query{
 		query.NewTopK(x, 3),
@@ -80,15 +98,15 @@ func TestHTTPRoundTripIFMH(t *testing.T) {
 		query.NewRange(x, -1, 1),
 		query.NewKNN(x, 3, 0),
 	} {
-		recs, err := cli.Query(q)
+		ans, err := r.Query(context.Background(), q, verify, backend.WithCounter(&ctr))
 		if err != nil {
 			t.Fatalf("%v: %v", q.Kind, err)
 		}
-		if q.Kind != query.Range && len(recs) != 3 {
-			t.Fatalf("%v: got %d records", q.Kind, len(recs))
+		if q.Kind != query.Range && len(ans.Records) != 3 {
+			t.Fatalf("%v: got %d records", q.Kind, len(ans.Records))
 		}
 	}
-	if !strings.Contains(cli.Stats().String(), "verifies") {
+	if !strings.Contains(ctr.String(), "verifies") {
 		t.Error("client stats missing")
 	}
 }
@@ -101,17 +119,34 @@ func TestHTTPRoundTripMesh(t *testing.T) {
 	}
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	cli, err := Dial(ts.URL, ts.Client())
+	// Mesh over HTTP: the raw answer bytes of Remote.Query, verified
+	// against the mesh bundle the server published.
+	r, err := DialRemote(ts.URL, ts.Client())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := r.Client().Public(); ok {
+		t.Fatal("a mesh server's bundle reads as IFMH")
+	}
+	pub, ok := r.Client().MeshPublic()
+	if !ok {
+		t.Fatal("mesh server publishes no mesh bundle")
 	}
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
-	recs, err := cli.Query(query.NewTopK(x, 4))
+	q := query.NewTopK(x, 4)
+	raw, err := r.Query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("got %d records", len(recs))
+	ans, err := wire.DecodeMesh(raw.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mesh.Verify(pub, q, ans.Records, &ans.VO, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Records) != 4 {
+		t.Fatalf("got %d records", len(ans.Records))
 	}
 }
 
@@ -169,13 +204,10 @@ func TestHTTPTamperingChannelRejected(t *testing.T) {
 	proxy := httptest.NewServer(&tamperingProxy{target: target, hc: origin.Client()})
 	defer proxy.Close()
 
-	cli, err := Dial(proxy.URL, proxy.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, verify := dialVerifying(t, proxy.URL, proxy.Client())
 	x := geometry.Point{(dom.Lo[0] + dom.Hi[0]) / 2}
 	for trial := 0; trial < 10; trial++ {
-		if _, err := cli.Query(query.NewRange(x, -2, 2)); err == nil {
+		if _, err := r.Query(context.Background(), query.NewRange(x, -2, 2), verify); err == nil {
 			t.Fatal("bit-flipped HTTP answer accepted")
 		}
 	}
@@ -200,11 +232,8 @@ func TestHTTPErrorPaths(t *testing.T) {
 		t.Errorf("junk query: status %d", resp.StatusCode)
 	}
 	// Out-of-domain query reaches the server and fails there.
-	cli, err := Dial(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Query(query.NewTopK(geometry.Point{99}, 1)); err == nil {
+	r, verify := dialVerifying(t, ts.URL, ts.Client())
+	if _, err := r.Query(context.Background(), query.NewTopK(geometry.Point{99}, 1), verify); err == nil {
 		t.Error("out-of-domain query succeeded")
 	}
 	// Stats endpoint responds.
